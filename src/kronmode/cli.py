@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 numerical or I/O failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import problems
+from . import blas, problems
 from .errors import KronmodeError
 from .fd import heat_factors
 from .hermite import forward_transform, hermite_basis, inverse_transform
@@ -56,13 +57,33 @@ class CliConfig:
     threads: int | None = None
 
 
-def _positive_int(text):
+def _int(text):
     try:
-        value = int(text)
+        return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+
+
+def _positive_int(text):
+    value = _int(text)
     if value <= 0:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
+def _nonnegative_int(text):
+    value = _int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
+def _thread_count(text):
+    value = _positive_int(text)
+    most = blas.max_threads()
+    if most is not None and value > most:
+        raise argparse.ArgumentTypeError(
+            f"expected at most {most} threads (the OpenBLAS maximum), got {text!r}")
     return value
 
 
@@ -106,9 +127,10 @@ def _add_common(sub):
                      help="write the report to PATH instead of stdout")
     sub.add_argument("--seed", type=int, default=1234,
                      help="seed for randomized self-checks (default: 1234)")
-    sub.add_argument("--threads", type=_positive_int, default=None,
-                     help="worker-count hint for the BLAS pool "
-                          "(default: KRONMODE_THREADS or library default)")
+    sub.add_argument("--threads", type=_thread_count, default=None,
+                     help="thread count of both OpenBLAS pools (numpy's and scipy's) "
+                          "for the duration of the run; restored afterwards "
+                          "(default: KRONMODE_THREADS, else left as they are)")
 
 
 def build_parser():
@@ -137,7 +159,7 @@ def build_parser():
                          help="Schrodinger equation, time-independent potential, Hermite basis")
     sti.add_argument("--k", type=_positive_int, default=40, help="basis functions per direction")
     sti.add_argument("--T", type=_positive_float, default=1.0, help="final time")
-    sti.add_argument("--k-ref", dest="k_ref", type=_positive_int, default=120,
+    sti.add_argument("--k-ref", dest="k_ref", type=_nonnegative_int, default=120,
                      help="reference resolution for the error (0 disables)")
     _add_common(sti)
 
@@ -146,7 +168,7 @@ def build_parser():
     std.add_argument("--k", type=_positive_int, default=20, help="basis functions per direction")
     std.add_argument("--T", type=_positive_float, default=1.0, help="final time")
     std.add_argument("--steps", type=_positive_int, default=32, help="number of time steps")
-    std.add_argument("--ref-steps", dest="ref_steps", type=_positive_int, default=2048,
+    std.add_argument("--ref-steps", dest="ref_steps", type=_nonnegative_int, default=2048,
                      help="reference step count for the error (0 disables)")
     _add_common(std)
 
@@ -166,8 +188,8 @@ def build_parser():
     sweep.add_argument("--T", type=_positive_float, default=None)
     sweep.add_argument("--steps", type=_positive_int, default=None)
     sweep.add_argument("--tau", type=_positive_float, default=None)
-    sweep.add_argument("--k-ref", dest="k_ref", type=_positive_int, default=120)
-    sweep.add_argument("--ref-steps", dest="ref_steps", type=_positive_int, default=2048)
+    sweep.add_argument("--k-ref", dest="k_ref", type=_nonnegative_int, default=120)
+    sweep.add_argument("--ref-steps", dest="ref_steps", type=_nonnegative_int, default=2048)
     _add_common(sweep)
 
     selftest = sub.add_parser("selftest", help="run the built-in oracle equivalence checks")
@@ -188,11 +210,9 @@ def parse_args(argv):
         env = os.environ.get("KRONMODE_THREADS")
         if env is not None:
             try:
-                cfg.threads = int(env)
-                if cfg.threads <= 0:
-                    raise ValueError
-            except ValueError:
-                parser.error(f"KRONMODE_THREADS must be a positive integer, got {env!r}")
+                cfg.threads = _thread_count(env)
+            except argparse.ArgumentTypeError as exc:
+                parser.error(f"KRONMODE_THREADS: {exc}")
     if cfg.command == "sweep":
         grid_based = cfg.problem in ("heat", "pipeflow", "gpe")
         values = cfg.n_list if grid_based else cfg.k_list
@@ -200,20 +220,6 @@ def parse_args(argv):
         if not values:
             parser.error(f"sweep over {cfg.problem} needs {flag} with at least one value")
     return cfg
-
-
-_thread_controller = None
-
-
-def _apply_threads(threads):
-    global _thread_controller
-    if threads is None:
-        return
-    try:
-        from threadpoolctl import threadpool_limits
-    except ImportError:
-        return  # the flag is a hint; without the controller it has no effect
-    _thread_controller = threadpool_limits(limits=threads)
 
 
 def _execute_single(cfg):
@@ -410,25 +416,30 @@ def _run_selftest(cfg):
 
 
 def run(cfg):
-    """Execute a parsed configuration; returns the process exit code."""
+    """Execute a parsed configuration; returns the process exit code.
+
+    With ``cfg.threads`` set, both OpenBLAS pools run at that many threads
+    for the duration of the call and get their earlier counts back after it.
+    """
+    threads = contextlib.nullcontext() if cfg.threads is None else blas.limit(cfg.threads)
     try:
-        _apply_threads(cfg.threads)
-        if cfg.command == "selftest":
-            return _run_selftest(cfg)
-        if cfg.command == "sweep":
-            reports = _execute_sweep(cfg)
-            single = False
-        else:
-            reports = [_execute_single(cfg)]
-            single = True
-        if cfg.output == "csv":
-            text = _render_csv(reports)
-        elif cfg.output == "json":
-            text = _render_json(reports, single)
-        else:
-            text = _render_table(reports)
-        _emit(text, cfg.out_path)
-        return 0
+        with threads:
+            if cfg.command == "selftest":
+                return _run_selftest(cfg)
+            if cfg.command == "sweep":
+                reports = _execute_sweep(cfg)
+                single = False
+            else:
+                reports = [_execute_single(cfg)]
+                single = True
+            if cfg.output == "csv":
+                text = _render_csv(reports)
+            elif cfg.output == "json":
+                text = _render_json(reports, single)
+            else:
+                text = _render_table(reports)
+            _emit(text, cfg.out_path)
+            return 0
     except KronmodeError as exc:
         print(f"kronmode: error: {exc}", file=sys.stderr)
         return 1

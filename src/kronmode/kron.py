@@ -13,16 +13,28 @@ from math import prod
 
 import numpy as np
 
-from .errors import OracleSizeError, ShapeError
+from .errors import InvalidInputError, OracleSizeError, ShapeError
 from .linalg import matexp
 from .tensor import mu_mode_product, tucker
 
 __all__ = ["KroneckerOp", "PropagatorCache", "assemble_full", "matvec", "prepare", "step"]
 
 
+def _check_square_finite(mats, what):
+    for mu, a in enumerate(mats, start=1):
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise ShapeError(f"{what} {mu} must be square, got shape {a.shape}")
+        if not np.isfinite(a).all():
+            raise InvalidInputError(f"{what} {mu} has non-finite entries")
+
+
 @dataclass(frozen=True)
 class KroneckerOp:
-    """Ordered one-dimensional factors ``A_1 .. A_d``; ``A_mu`` acts on direction mu."""
+    """Ordered one-dimensional factors ``A_1 .. A_d``; ``A_mu`` acts on direction mu.
+
+    Every factor must be square and finite (:class:`ShapeError`,
+    :class:`InvalidInputError`).
+    """
 
     factors: tuple
 
@@ -30,9 +42,7 @@ class KroneckerOp:
         mats = tuple(np.asarray(a) for a in self.factors)
         if not mats:
             raise ShapeError("a Kronecker operator needs at least one factor")
-        for mu, a in enumerate(mats, start=1):
-            if a.ndim != 2 or a.shape[0] != a.shape[1]:
-                raise ShapeError(f"factor {mu} must be square, got shape {a.shape}")
+        _check_square_finite(mats, "factor")
         object.__setattr__(self, "factors", mats)
 
     @property
@@ -53,14 +63,17 @@ class PropagatorCache:
     """Precomputed ``exp(tau*A_mu)`` factors for a fixed time increment.
 
     Immutable: rebuild via :func:`prepare` whenever ``tau`` or a factor
-    changes.
+    changes.  Every factor must be square and finite, as for
+    :class:`KroneckerOp`.
     """
 
     tau: float
     exps: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "exps", tuple(np.asarray(e) for e in self.exps))
+        exps = tuple(np.asarray(e) for e in self.exps)
+        _check_square_finite(exps, "exponential factor")
+        object.__setattr__(self, "exps", exps)
 
     @property
     def shape(self):

@@ -1,8 +1,10 @@
 import json
+import math
 
 import jsonschema
 import pytest
 
+from kronmode import blas, problems
 from kronmode.cli import CSV_COLUMNS, main, parse_args, run
 
 GOLDEN_HEADER = ("problem,n,k,p,steps,tau,precision,norm,rel_error,"
@@ -90,6 +92,16 @@ class TestParse:
         monkeypatch.setenv("KRONMODE_THREADS", "1")
         assert parse_args(["heat"]).threads == 1
         monkeypatch.setenv("KRONMODE_THREADS", "zero")
+        with pytest.raises(SystemExit) as info:
+            parse_args(["heat"])
+        assert info.value.code == 2
+
+    def test_threads_above_openblas_maximum_exits_2(self, monkeypatch):
+        too_many = str(blas.max_threads() + 1)
+        with pytest.raises(SystemExit) as info:
+            parse_args(["heat", "--threads", too_many])
+        assert info.value.code == 2
+        monkeypatch.setenv("KRONMODE_THREADS", too_many)
         with pytest.raises(SystemExit) as info:
             parse_args(["heat"])
         assert info.value.code == 2
@@ -212,6 +224,21 @@ class TestRun:
         assert row["k"] == "10"
         assert float(row["rel_error"]) >= 0
 
+    def test_schrodinger_ti_without_reference(self, capsys):
+        code, out = _run_capture(
+            ["schrodinger-ti", "--k", "10", "--k-ref", "0", "--output", "csv"], capsys)
+        assert code == 0
+        row = dict(zip(CSV_COLUMNS, out.strip().splitlines()[1].split(",")))
+        assert math.isnan(float(row["rel_error"]))
+
+    def test_schrodinger_td_without_reference(self, capsys):
+        code, out = _run_capture(
+            ["schrodinger-td", "--k", "8", "--steps", "4", "--ref-steps", "0",
+             "--output", "csv"], capsys)
+        assert code == 0
+        row = dict(zip(CSV_COLUMNS, out.strip().splitlines()[1].split(",")))
+        assert math.isnan(float(row["rel_error"]))
+
     def test_schrodinger_td_small(self, capsys):
         code, out = _run_capture(
             ["schrodinger-td", "--k", "8", "--steps", "4", "--ref-steps", "64",
@@ -232,6 +259,24 @@ class TestRun:
         assert len(lines) == 5
         assert all(ln.startswith("PASS") for ln in lines)
         assert "5/5 checks passed" in out
+
+    def test_threads_sets_both_pools_for_the_call(self, monkeypatch, capsys):
+        seen = []
+        report = problems.RunReport(
+            problem="heat", shape=(8, 8, 8), steps=1, tau=1.0, error=0.0,
+            norm_kind="max", time_exp_s=0.0, time_mumode_s=0.0, time_other_s=0.0,
+            total_s=0.0, n=8, p=2.0)
+
+        def fake_heat(*args, **kwargs):
+            seen.append(blas.thread_counts())
+            return report
+
+        monkeypatch.setattr(problems, "heat3d_run", fake_heat)
+        with blas.limit(2):
+            code, _ = _run_capture(["heat", "--threads", "1", "--output", "csv"], capsys)
+            assert code == 0
+            assert seen == [{"numpy": 1, "scipy": 1}]
+            assert blas.thread_counts() == {"numpy": 2, "scipy": 2}
 
     def test_main_entry(self, capsys):
         assert main(["heat", "--n", "12", "--output", "csv"]) == 0

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from kronmode.errors import OracleSizeError, ShapeError
-from kronmode.kron import KroneckerOp, assemble_full, matvec, prepare, step
+from kronmode.errors import InvalidInputError, OracleSizeError, ShapeError
+from kronmode.kron import KroneckerOp, PropagatorCache, assemble_full, matvec, prepare, step
 from kronmode.linalg import matexp
 from kronmode.tensor import count_flops, norm, tucker
 
@@ -31,6 +31,26 @@ class TestKroneckerOp:
     def test_rejects_empty(self):
         with pytest.raises(ShapeError):
             KroneckerOp(())
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        a = np.eye(3)
+        a[1, 2] = bad
+        with pytest.raises(InvalidInputError):
+            KroneckerOp((np.eye(2), a))
+
+
+class TestPropagatorCache:
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        e = np.eye(3, dtype=complex)
+        e[0, 0] = bad
+        with pytest.raises(InvalidInputError):
+            PropagatorCache(0.1, (np.eye(2), e))
+
+    def test_rejects_non_square(self):
+        with pytest.raises(ShapeError):
+            PropagatorCache(0.1, (np.zeros((2, 3)),))
 
 
 class TestAssembleFull:

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
+from kronmode import blas
 from kronmode.errors import InvalidInputError, ShapeError, SingularMatrixError
 from kronmode.linalg import matexp, matmul, one_norm, solve
 
@@ -162,3 +164,17 @@ class TestMatexp:
         bad = np.array([[0.0, np.inf], [0.0, 0.0]])
         with pytest.raises(InvalidInputError):
             matexp(bad)
+
+    def test_exponential_runs_single_threaded_and_restores_both_pools(self, monkeypatch):
+        seen = []
+        expm = scipy.linalg.expm
+
+        def recording_expm(a):
+            seen.append(blas.thread_counts())
+            return expm(a)
+
+        monkeypatch.setattr(scipy.linalg, "expm", recording_expm)
+        with blas.limit(2):
+            matexp(np.zeros((4, 4)))
+            assert seen == [{"numpy": 1, "scipy": 1}]
+            assert blas.thread_counts() == {"numpy": 2, "scipy": 2}
