@@ -120,7 +120,8 @@ def _add_common(sub):
     sub.add_argument("--precision", choices=("single", "double"), default="double",
                      help="scalar precision of the run (default: double)")
     sub.add_argument("--norm", choices=("max", "two"), default="max",
-                     help="norm for the reported relative error (default: max)")
+                     help="norm for the reported relative error (default: max); "
+                          "ignored by gpe, which reports the drift of the weighted two-norm")
     sub.add_argument("--output", choices=("csv", "json", "table"), default="table",
                      help="report format (default: table)")
     sub.add_argument("--out", dest="out_path", default=None, metavar="PATH",

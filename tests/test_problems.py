@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kronmode.errors import ConfigurationError, InvalidReferenceError, ShapeError
 from kronmode.fd import pipeflow_factors, pipeflow_grids
@@ -9,6 +11,7 @@ from kronmode.hermite import harmonic_eigenvalues, hermite_basis
 from kronmode.kron import KroneckerOp, prepare, step
 from kronmode.problems import (
     TimeGrid,
+    _cast_cache,
     VortexProfile,
     gpe_run,
     gpe_setup,
@@ -237,6 +240,48 @@ class TestGpe:
                                 + 1j * rng.standard_normal((16, 16, 16)))
         got = gpe_strang_step(prepare(lin_op, 0.0), weights, psi, 0.0)
         assert np.array_equal(got, psi)
+        got = gpe_strang_step(prepare(lin_op, 0.0), weights, psi, 0.0, steps=3)
+        assert np.array_equal(got, psi)
+
+    @settings(max_examples=25, deadline=None)
+    @given(steps=st.integers(1, 6),
+           tau=st.floats(0.0, 0.3, exclude_min=True),
+           seed=st.integers(0, 2**31))
+    def test_merged_steps_match_single_steps(self, steps, tau, seed):
+        n = 12
+        rng = np.random.default_rng(seed)
+        _, lin_op, weights = gpe_setup(n)
+        psi = np.asfortranarray(rng.standard_normal((n, n, n))
+                                + 1j * rng.standard_normal((n, n, n)))
+        before = psi.copy()
+        cache = prepare(lin_op, tau)
+        merged = gpe_strang_step(cache, weights, psi, tau, steps=steps)
+        single = psi
+        for _ in range(steps):
+            single = gpe_strang_step(cache, weights, single, tau)
+        assert np.array_equal(psi, before)
+        assert np.abs(merged - single).max() <= 1e-13 * np.abs(single).max()
+
+    @pytest.mark.parametrize("steps", [0, -1, 1.0, 2.5, "2", True, None])
+    def test_steps_must_be_a_positive_integer(self, steps):
+        _, lin_op, weights = gpe_setup(8)
+        psi = np.ones((8, 8, 8), dtype=complex)
+        with pytest.raises(ConfigurationError):
+            gpe_strang_step(prepare(lin_op, 0.1), weights, psi, 0.1, steps=steps)
+
+    @pytest.mark.parametrize("steps", [1, 3])
+    def test_single_precision_state_stays_single(self, steps):
+        rng = np.random.default_rng(3)
+        _, lin_op, weights = gpe_setup(16)
+        psi = (rng.standard_normal((16, 16, 16))
+               + 1j * rng.standard_normal((16, 16, 16))).astype(np.complex64)
+        cache = _cast_cache(prepare(lin_op, 0.1), "single")
+        assert gpe_strang_step(cache, weights, psi, 0.1, steps=steps).dtype == np.complex64
+
+    def test_single_precision_run_conserves_norm(self):
+        report = gpe_run(16, T=0.5, tau=0.1, precision="single")
+        assert report.precision == "single"
+        assert report.error <= 1e-5
 
     def test_unit_background_is_stationary(self):
         n = 16
