@@ -19,7 +19,6 @@ from .errors import (
     NoConvergenceError,
     OracleSizeError,
     ShapeError,
-    SingularMatrixError,
 )
 from .fd import (
     BoundaryCondition,
@@ -48,7 +47,7 @@ from .hermite import (
 )
 from .kron import KroneckerOp, PropagatorCache, assemble_full, matvec, prepare, step
 from .krylov import arnoldi_expmv
-from .linalg import matexp, matmul, one_norm, solve
+from .linalg import matexp
 from .problems import (
     RunReport,
     TimeGrid,
@@ -61,6 +60,6 @@ from .problems import (
     pipeflow_run,
     relative_error,
 )
-from .tensor import count_flops, mu_fiber_count, mu_mode_product, norm, tucker
+from .tensor import count_flops, mu_mode_product, norm, scale_modes, tucker
 
 __version__ = "0.1.0"

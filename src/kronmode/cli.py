@@ -33,6 +33,7 @@ CSV_COLUMNS = (
 )
 
 _SWEEPABLE = ("heat", "pipeflow", "schrodinger-ti", "schrodinger-td", "gpe")
+_GRID_BASED = ("heat", "pipeflow", "gpe")  # swept over --n; the others over --k
 
 
 @dataclass
@@ -185,12 +186,13 @@ def build_parser():
                        help="comma-separated grid sizes (grid-based problems)")
     sweep.add_argument("--k", dest="k_list", type=_int_list, default=[],
                        help="comma-separated basis sizes (Hermite problems)")
-    sweep.add_argument("--p", type=_accuracy_order, default=2)
+    # Left unset, these take the default of the swept problem's own command.
+    sweep.add_argument("--p", type=_accuracy_order, default=None)
     sweep.add_argument("--T", type=_positive_float, default=None)
     sweep.add_argument("--steps", type=_positive_int, default=None)
     sweep.add_argument("--tau", type=_positive_float, default=None)
-    sweep.add_argument("--k-ref", dest="k_ref", type=_nonnegative_int, default=120)
-    sweep.add_argument("--ref-steps", dest="ref_steps", type=_nonnegative_int, default=2048)
+    sweep.add_argument("--k-ref", dest="k_ref", type=_nonnegative_int, default=None)
+    sweep.add_argument("--ref-steps", dest="ref_steps", type=_nonnegative_int, default=None)
     _add_common(sweep)
 
     selftest = sub.add_parser("selftest", help="run the built-in oracle equivalence checks")
@@ -215,7 +217,7 @@ def parse_args(argv):
             except argparse.ArgumentTypeError as exc:
                 parser.error(f"KRONMODE_THREADS: {exc}")
     if cfg.command == "sweep":
-        grid_based = cfg.problem in ("heat", "pipeflow", "gpe")
+        grid_based = cfg.problem in _GRID_BASED
         values = cfg.n_list if grid_based else cfg.k_list
         flag = "--n" if grid_based else "--k"
         if not values:
@@ -243,28 +245,17 @@ def _execute_single(cfg):
     raise KronmodeError(f"unhandled command {cfg.command!r}")
 
 
-_SWEEP_DEFAULTS = {
-    "heat": {"T": 1.0, "steps": 1},
-    "pipeflow": {"T": 4.0, "steps": 1},
-    "schrodinger-ti": {"T": 1.0},
-    "schrodinger-td": {"T": 1.0, "steps": 32},
-    "gpe": {"T": 2.5, "tau": 0.1},
-}
-
-
 def _execute_sweep(cfg):
-    defaults = _SWEEP_DEFAULTS[cfg.problem]
-    base = CliConfig(command=cfg.problem, p=cfg.p, T=cfg.T, steps=cfg.steps, tau=cfg.tau,
-                     k_ref=cfg.k_ref, ref_steps=cfg.ref_steps,
-                     precision=cfg.precision, norm=cfg.norm, seed=cfg.seed)
-    for name, value in defaults.items():
-        if getattr(base, name) is None:
+    base = parse_args([cfg.problem])  # the problem command's own defaults
+    for name in ("p", "T", "steps", "tau", "k_ref", "ref_steps", "precision", "norm", "seed"):
+        value = getattr(cfg, name)
+        if value is not None:
             setattr(base, name, value)
     reports = []
-    values = cfg.n_list if cfg.problem in ("heat", "pipeflow", "gpe") else cfg.k_list
-    for value in values:
+    grid_based = cfg.problem in _GRID_BASED
+    for value in cfg.n_list if grid_based else cfg.k_list:
         entry = CliConfig(**vars(base))
-        if cfg.problem in ("heat", "pipeflow", "gpe"):
+        if grid_based:
             entry.n = value
         else:
             entry.k = value
@@ -282,26 +273,16 @@ def _fmt_csv_value(value):
     return str(value)
 
 
+# CSV columns named unlike their run-report field.
+_REPORT_FIELD = {"norm": "norm_kind", "rel_error": "error"}
+
+
 def _report_row(report):
-    d = report.as_dict()
-    p = d["p"]
-    if isinstance(p, float) and p.is_integer():
-        p = int(p)
-    return {
-        "problem": d["problem"],
-        "n": d["n"],
-        "k": d["k"],
-        "p": p,
-        "steps": d["steps"],
-        "tau": d["tau"],
-        "precision": d["precision"],
-        "norm": d["norm_kind"],
-        "rel_error": d["error"],
-        "time_exp_s": d["time_exp_s"],
-        "time_mumode_s": d["time_mumode_s"],
-        "time_other_s": d["time_other_s"],
-        "total_s": d["total_s"],
-    }
+    row = report.as_dict()
+    row = {col: row[_REPORT_FIELD.get(col, col)] for col in CSV_COLUMNS}
+    if isinstance(row["p"], float) and row["p"].is_integer():
+        row["p"] = int(row["p"])
+    return row
 
 
 def _render_csv(reports):

@@ -13,10 +13,6 @@ class InvalidDirectionError(KronmodeError, ValueError):
     """A 1-based direction index lies outside 1..d."""
 
 
-class SingularMatrixError(KronmodeError, ValueError):
-    """A linear solve hit a numerically singular matrix."""
-
-
 class InvalidInputError(KronmodeError, ValueError):
     """An input contains non-finite or otherwise unusable values."""
 

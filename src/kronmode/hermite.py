@@ -16,7 +16,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .errors import ConfigurationError, InvalidPotentialError, ShapeError
-from .tensor import tucker
+from .tensor import scale_modes, tucker
 
 __all__ = [
     "HermiteBasis",
@@ -113,11 +113,7 @@ def forward_transform(bases, values):
     """
     values = np.asarray(values)
     _check_field_shape(bases, values, "value tensor")
-    d = values.ndim
-    weighted = values
-    for ax, basis in enumerate(bases):
-        shape = (1,) * ax + (basis.k,) + (1,) * (d - ax - 1)
-        weighted = weighted * basis.mod_weights.reshape(shape)
+    weighted = scale_modes(values, [b.mod_weights for b in bases])
     return tucker(weighted, [b.phi for b in bases])
 
 

@@ -13,7 +13,7 @@ from math import prod
 
 import numpy as np
 
-from .errors import InvalidInputError, OracleSizeError, ShapeError
+from .errors import ConfigurationError, InvalidInputError, OracleSizeError, ShapeError
 from .linalg import matexp
 from .tensor import mu_mode_product, tucker
 
@@ -115,20 +115,37 @@ def matvec(op, u):
     return out
 
 
-def prepare(op, tau):
-    """Exponentiate every factor once for time increment ``tau``."""
-    return PropagatorCache(tau, tuple(matexp(tau * a) for a in op.factors))
+def _check_steps(steps):
+    """Reject a step count that is not an integer >= 1 (:class:`ConfigurationError`)."""
+    if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 1:
+        raise ConfigurationError(f"steps must be an integer >= 1, got {steps!r}")
 
 
-def step(cache, u):
-    """Advance ``u`` by the cache's time increment.
+def prepare(op, tau, dtype=None):
+    """Exponentiate every factor once for time increment ``tau``.
+
+    The exponentials are computed in double precision; with ``dtype`` (the
+    state's dtype, say ``np.float32`` for a single-precision run) each one is
+    then cast to it.
+    """
+    exps = (matexp(tau * a) for a in op.factors)
+    if dtype is not None:
+        exps = (e.astype(dtype, copy=False) for e in exps)
+    return PropagatorCache(tau, tuple(exps))
+
+
+def step(cache, u, steps=1):
+    """Advance ``u`` by ``steps`` times the cache's time increment.
 
     Exact (up to rounding and the factor exponentials) for linear problems
     whose generator is the Kronecker sum the cache was prepared from.
     Factors are applied in ascending direction order; any order gives the
     same result because the factor exponentials commute.
     """
+    _check_steps(steps)
     u = np.asarray(u)
     if u.shape != cache.shape:
         raise ShapeError(f"tensor shape {u.shape} does not match cache shape {cache.shape}")
-    return tucker(u, cache.exps)
+    for _ in range(steps):
+        u = tucker(u, cache.exps)
+    return u

@@ -4,8 +4,14 @@ Five problem families: a periodic 3D heat equation with a closed-form
 reference, a 2D pipe diffusion-advection model checked against the Arnoldi
 baseline, linear Schrodinger equations with time-independent and
 time-dependent potentials in the Hermite basis, and the cubic nonlinear
-Schrodinger (Gross-Pitaevskii) equation with Strang splitting.  Every driver
-returns a :class:`RunReport` with the phase timing split into matrix
+Schrodinger (Gross-Pitaevskii) equation with Strang splitting.
+
+Every driver supplies its initial state, generator and reference to one run
+path (:class:`_Run`), which casts to the requested precision, advances the
+state with one of three steppers -- the exact propagator
+(:func:`kronmode.kron.step`), the exponential midpoint rule
+(:func:`magnus_midpoint_step`) or Strang splitting (:func:`gpe_strang_step`)
+-- and returns a :class:`RunReport` with the phase timing split into matrix
 exponentials, mode products and the rest.
 """
 
@@ -34,11 +40,11 @@ from .hermite import (
     inverse_transform,
     position_operator,
 )
-from .kron import KroneckerOp, PropagatorCache, prepare, step
+from .kron import KroneckerOp, _check_steps, prepare, step
 from .krylov import arnoldi_expmv
 from .linalg import matexp
 from .tensor import norm as tensor_norm
-from .tensor import tucker
+from .tensor import scale_modes, tucker
 
 __all__ = [
     "RunReport",
@@ -71,8 +77,7 @@ class TimeGrid:
     steps: int
 
     def __post_init__(self):
-        if self.steps < 1:
-            raise ConfigurationError("a time grid needs at least one step")
+        _check_steps(self.steps)
         if not self.T > self.t0:
             raise ConfigurationError("final time must exceed the initial time")
 
@@ -108,12 +113,29 @@ class RunReport:
         return data
 
 
-class PhaseTimer:
-    """Wall-clock split: matrix exponentials vs mode products vs the rest."""
+def _cast(arr, precision):
+    """``arr`` in single precision for a ``"single"`` run, unchanged for ``"double"``."""
+    if precision == "double":
+        return arr
+    return arr.astype(np.complex64 if np.iscomplexobj(arr) else np.float32, copy=False)
 
-    def __init__(self):
-        self.exp = 0.0
-        self.mumode = 0.0
+
+class _Run:
+    """The run path of every driver: precision, time grid, phase timings and report.
+
+    A driver creates it once its own input is valid; the constructor
+    validates the precision and the time grid, then starts the clock.  The
+    wall time splits into matrix exponentials, mode products (spectral
+    transforms included) and the rest.  :meth:`report` stops the clock
+    before it computes the error, so the reference solve is not timed.
+    """
+
+    def __init__(self, precision, T, steps):
+        if precision not in ("double", "single"):
+            raise ConfigurationError(f"unknown precision {precision!r}")
+        self.precision = precision
+        self.grid = TimeGrid(0.0, T, steps)
+        self.exp = self.mumode = 0.0
         self._start = time.perf_counter()
 
     @contextmanager
@@ -132,29 +154,27 @@ class PhaseTimer:
         finally:
             self.mumode += time.perf_counter() - t0
 
-    def totals(self):
+    def exact(self, op, u0):
+        """``u0``, cast to the run's precision, advanced over the grid by ``exp(t*op)``."""
+        u = _cast(u0, self.precision)
+        with self.exponentials():
+            cache = prepare(op, self.grid.tau, u.dtype)
+        with self.mode_products():
+            return step(cache, u, steps=self.grid.steps)
+
+    def report(self, problem, u, error, norm_kind, **fields):
+        """Stop the clock and report ``error(u)`` (nan for ``error=None``).
+
+        ``fields`` sets ``n``, ``k`` and ``p``.
+        """
         total = time.perf_counter() - self._start
-        other = max(total - self.exp - self.mumode, 0.0)
-        return self.exp, self.mumode, other, total
-
-
-_REAL_DTYPES = {"double": np.float64, "single": np.float32}
-_COMPLEX_DTYPES = {"double": np.complex128, "single": np.complex64}
-
-
-def _cast(arr, precision):
-    if precision not in _REAL_DTYPES:
-        raise ConfigurationError(f"unknown precision {precision!r}")
-    if precision == "double":
-        return arr
-    target = _COMPLEX_DTYPES["single"] if np.iscomplexobj(arr) else _REAL_DTYPES["single"]
-    return arr.astype(target)
-
-
-def _cast_cache(cache, precision):
-    if precision == "double":
-        return cache
-    return PropagatorCache(cache.tau, tuple(_cast(e, precision) for e in cache.exps))
+        return RunReport(
+            problem=problem, shape=u.shape, steps=self.grid.steps, tau=self.grid.tau,
+            error=float("nan") if error is None else error(u), norm_kind=norm_kind,
+            time_exp_s=self.exp, time_mumode_s=self.mumode,
+            time_other_s=max(total - self.exp - self.mumode, 0.0), total_s=total,
+            precision=self.precision, **fields,
+        )
 
 
 def relative_error(u, ref, norm_kind="max", weights=None):
@@ -182,38 +202,15 @@ def heat3d_run(n, p=2, T=1.0, steps=1, norm_kind="max", precision="double"):
     """
     if n < 8:
         raise ConfigurationError(f"the heat run needs n >= 8, got {n}")
-    timer = PhaseTimer()
-    grid = uniform_periodic_grid(0.0, 2 * np.pi, n)
-    cos = np.cos(grid.points)
+    run = _Run(precision, T, steps)
+    cos = np.cos(uniform_periodic_grid(0.0, 2 * np.pi, n).points)
     u0 = np.asfortranarray(
         cos[:, None, None] + cos[None, :, None] + cos[None, None, :]
     )
-    op = heat_factors(n, p)
-    tg = TimeGrid(0.0, T, steps)
-    with timer.exponentials():
-        cache = _cast_cache(prepare(op, tg.tau), precision)
-    u = _cast(u0, precision)
-    with timer.mode_products():
-        for _ in range(steps):
-            u = step(cache, u)
-    t_exp, t_mu, t_other, total = timer.totals()
-
-    reference = np.exp(-T) * u0
-    error = relative_error(u.astype(np.float64), reference, norm_kind)
-    return RunReport(
-        problem="heat",
-        shape=op.shape,
-        steps=steps,
-        tau=tg.tau,
-        error=error,
-        norm_kind=norm_kind,
-        time_exp_s=t_exp,
-        time_mumode_s=t_mu,
-        time_other_s=t_other,
-        total_s=total,
-        n=n,
-        p=float(p),
-        precision=precision,
+    u = run.exact(heat_factors(n, p), u0)
+    return run.report(
+        "heat", u, lambda u: relative_error(u.astype(np.float64), np.exp(-T) * u0, norm_kind),
+        norm_kind, n=n, p=float(p),
     )
 
 
@@ -221,16 +218,16 @@ def heat3d_run(n, p=2, T=1.0, steps=1, norm_kind="max", precision="double"):
 # Pipe flow: 2D diffusion-advection with space-dependent coefficients.
 
 
-def pipeflow_run(n, T=4.0, steps=1, norm_kind="max", precision="double", ref_tol=1e-10):
+def pipeflow_run(n, T=4.0, steps=1, norm_kind="max", precision="double"):
     """Propagate a Gaussian blob through the pipe model.
 
     The reference solution comes from the Arnoldi baseline on the same
-    discretization at tolerance ``ref_tol``; its cost is not part of the
-    reported timings.
+    discretization at tolerance 1e-10; its cost is not part of the reported
+    timings.
     """
     if n < 16:
         raise ConfigurationError(f"the pipe flow run needs n >= 16, got {n}")
-    timer = PhaseTimer()
+    run = _Run(precision, T, steps)
     rho_grid, z_grid = pipeflow_grids(n)
     rho0 = (0.1 + 5.0) / 2.0
     z0 = 3.0 / 2.0
@@ -239,30 +236,12 @@ def pipeflow_run(n, T=4.0, steps=1, norm_kind="max", precision="double", ref_tol
         * np.exp(-8.0 * (z_grid.points - z0) ** 2)[None, :]
     )
     op = pipeflow_factors(n)
-    tg = TimeGrid(0.0, T, steps)
-    with timer.exponentials():
-        cache = _cast_cache(prepare(op, tg.tau), precision)
-    c = _cast(c0, precision)
-    with timer.mode_products():
-        for _ in range(steps):
-            c = step(cache, c)
-    t_exp, t_mu, t_other, total = timer.totals()
-
-    reference = arnoldi_expmv(op, c0, T, tol=ref_tol)
-    error = relative_error(c.astype(np.float64), reference, norm_kind)
-    return RunReport(
-        problem="pipeflow",
-        shape=op.shape,
-        steps=steps,
-        tau=tg.tau,
-        error=error,
-        norm_kind=norm_kind,
-        time_exp_s=t_exp,
-        time_mumode_s=t_mu,
-        time_other_s=t_other,
-        total_s=total,
-        n=n,
-        precision=precision,
+    c = run.exact(op, c0)
+    return run.report(
+        "pipeflow", c,
+        lambda c: relative_error(c.astype(np.float64), arnoldi_expmv(op, c0, T, tol=1e-10),
+                                 norm_kind),
+        norm_kind, n=n,
     )
 
 
@@ -292,7 +271,15 @@ def ti_potentials():
     )
 
 
-def hkp_solve(k, T=1.0, potentials=None):
+def _hermite_initial(k, run):
+    """Basis and initial coefficients of both Schrodinger problems, in double."""
+    basis = hermite_basis(k)
+    with run.mode_products():
+        coeffs0 = forward_transform((basis,) * 3, schrodinger_initial_state((basis.nodes,) * 3))
+    return basis, coeffs0
+
+
+def hkp_solve(k, T=1.0, potentials=None, _run=None):
     """Single exact coefficient-space step of the time-independent problem.
 
     Returns ``(basis, coeffs0, coeffsT)``; the same basis serves all three
@@ -300,136 +287,101 @@ def hkp_solve(k, T=1.0, potentials=None):
     """
     if k < 2:
         raise ConfigurationError(f"the Hermite solver needs k >= 2, got {k}")
+    run = _Run("double", T, 1) if _run is None else _run
+    basis, coeffs0 = _hermite_initial(k, run)
     if potentials is None:
         potentials = ti_potentials()
-    basis = hermite_basis(k)
-    bases = (basis,) * 3
-    psi0 = schrodinger_initial_state((basis.nodes,) * 3)
-    coeffs0 = forward_transform(bases, psi0)
     op = KroneckerOp(tuple(hamiltonian_factor(basis, v) for v in potentials))
-    coeffs_t = step(prepare(op, T), coeffs0)
-    return basis, coeffs0, coeffs_t
+    return basis, coeffs0, run.exact(op, coeffs0)
 
 
-def hkp_run(k, T=1.0, k_ref=120, norm_kind="max", precision="double", potentials=None):
+def hkp_run(k, T=1.0, k_ref=120, norm_kind="max", precision="double"):
     """Hermite pseudospectral run with exact time propagation.
 
     The error compares grid values at the k-point node set against a
     higher-resolution solve with ``k_ref`` functions per direction,
     evaluated at the same coarse nodes.  ``k_ref=None`` skips the reference
-    (error reported as nan).
+    (error reported as nan).  The transforms run in double precision; a
+    single-precision run casts the coefficients for the time step only.
     """
     if k < 8:
         raise ConfigurationError(f"the benchmark run needs k >= 8, got {k}")
-    if potentials is None:
-        potentials = ti_potentials()
-    timer = PhaseTimer()
-    basis = hermite_basis(k)
-    bases = (basis,) * 3
-    psi0 = _cast(schrodinger_initial_state((basis.nodes,) * 3), precision)
-    phi = _cast(basis.phi, precision)
-    weighted = psi0
-    for ax in range(3):
-        shape = (1,) * ax + (k,) + (1,) * (2 - ax)
-        weighted = weighted * _cast(basis.mod_weights, precision).reshape(shape)
-    with timer.mode_products():
-        coeffs = tucker(weighted, [phi] * 3)
-    op = KroneckerOp(tuple(hamiltonian_factor(basis, v) for v in potentials))
-    with timer.exponentials():
-        cache = _cast_cache(prepare(op, T), precision)
-    with timer.mode_products():
-        coeffs = step(cache, coeffs)
-        values = tucker(coeffs, [phi.conj().T] * 3)
-    t_exp, t_mu, t_other, total = timer.totals()
+    if k_ref is not None and k_ref < k:
+        raise ConfigurationError("the reference resolution must be at least k")
+    run = _Run(precision, T, 1)
+    basis, _, coeffs = hkp_solve(k, T, _run=run)
+    with run.mode_products():
+        values = inverse_transform((basis,) * 3, coeffs.astype(np.complex128))
 
-    if k_ref is None:
-        error = float("nan")
-    else:
-        if k_ref < k:
-            raise ConfigurationError("the reference resolution must be at least k")
-        basis_ref = hermite_basis(k_ref)
-        bases_ref = (basis_ref,) * 3
-        psi0_ref = schrodinger_initial_state((basis_ref.nodes,) * 3)
-        coeffs_ref = forward_transform(bases_ref, psi0_ref)
-        op_ref = KroneckerOp(tuple(hamiltonian_factor(basis_ref, v) for v in potentials))
-        coeffs_ref = step(prepare(op_ref, T), coeffs_ref)
-        ref_values = inverse_transform(bases_ref, coeffs_ref, eval_points=(basis.nodes,) * 3)
-        error = relative_error(values.astype(np.complex128), ref_values, norm_kind)
-    return RunReport(
-        problem="schrodinger-ti",
-        shape=(k, k, k),
-        steps=1,
-        tau=T,
-        error=error,
-        norm_kind=norm_kind,
-        time_exp_s=t_exp,
-        time_mumode_s=t_mu,
-        time_other_s=t_other,
-        total_s=total,
-        k=k,
-        precision=precision,
-    )
+    def error(values):
+        basis_ref, _, coeffs_ref = hkp_solve(k_ref, T)
+        ref_values = inverse_transform((basis_ref,) * 3, coeffs_ref, eval_points=(basis.nodes,) * 3)
+        return relative_error(values, ref_values, norm_kind)
+
+    return run.report("schrodinger-ti", values, None if k_ref is None else error, norm_kind, k=k)
 
 
-def magnus_midpoint_step(factors_of_t, u, t, tau):
+def magnus_midpoint_step(factors_of_t, u, t, tau, steps=1, _timer=None):
     """Exponential midpoint rule for a time-dependent Kronecker-sum generator.
 
-    Advances ``u' = M(t) u`` from t to t + tau with the generator frozen at
-    the interval midpoint, ``u <- exp(tau * M(t + tau/2)) u``; second order
-    in tau, and identical to the exact propagator when M is constant.
+    Advances ``u' = M(t) u`` from t to ``t + steps*tau``, each step with the
+    generator frozen at the interval midpoint,
+    ``u <- exp(tau * M(t_s + tau/2)) u``; second order in tau, and identical
+    to the exact propagator when M is constant.  ``factors_of_t(t)`` returns
+    the factors of M(t), one square matrix per direction of ``u``.
+
+    Factor reuse: a direction is exponentiated again only when
+    ``factors_of_t`` returns a different array object for it than at the
+    previous midpoint of the call, so static factors returned as the same
+    objects (as by :func:`hkmp_factors`) are exponentiated, and checked for
+    shape and finiteness, once per call.  A single-precision ``u`` gets its
+    exponentials cast to single.
     """
-    op = factors_of_t(t + 0.5 * tau)
-    return step(prepare(op, tau), u)
+    _check_steps(steps)
+    u = np.asarray(u)
+    precision = "single" if u.dtype in (np.float32, np.complex64) else "double"
+    timed_exp = nullcontext if _timer is None else _timer.exponentials
+    timed_mu = nullcontext if _timer is None else _timer.mode_products
+    factors = exps = (None,) * u.ndim
+    for s in range(steps):
+        now = tuple(factors_of_t(t + (s + 0.5) * tau))
+        if len(now) != u.ndim:
+            raise ShapeError(f"expected {u.ndim} factors, got {len(now)}")
+        with timed_exp():
+            exps = tuple(e if a is old else _cast(matexp(tau * a), precision)
+                         for a, old, e in zip(now, factors, exps))
+        factors = now
+        with timed_mu():
+            u = tucker(u, exps)
+    return u
 
 
-def hkmp_factors(basis, t):
-    """Coefficient-space generator of the driven-oscillator problem at time t.
+def hkmp_factors(basis):
+    """Coefficient-space generator of the driven-oscillator problem, as a function of t.
 
-    Directions 1 and 2 are plain harmonic; direction 3 adds the coordinate
-    operator scaled by ``sin(t)^2``.
+    The function returns the three factors at time t.  Directions 1 and 2
+    are plain harmonic; direction 3 adds the coordinate operator scaled by
+    ``sin(t)^2``.  The static factors are built once per basis, so every
+    call returns the same arrays for them.
     """
     d_harm = np.diag(np.arange(basis.k) + 0.5)
     a_static = -1j * d_harm
-    a_driven = -1j * (d_harm + np.sin(t) ** 2 * position_operator(basis))
-    return KroneckerOp((a_static, a_static, a_driven))
-
-
-def _hkmp_propagate(k, T, steps, precision="double", timer=None):
-    if timer is None:
-        timer = PhaseTimer()
-    basis = hermite_basis(k)
-    bases = (basis,) * 3
-    psi0 = schrodinger_initial_state((basis.nodes,) * 3)
-    with timer.mode_products():
-        coeffs0 = forward_transform(bases, psi0)
-    tau = T / steps
-    d_harm = np.diag(np.arange(k) + 0.5)
     x_op = position_operator(basis)
-    # The two static factors are diagonal: exponentiated once up front.  The
-    # driven factor is rebuilt and exponentiated every step at the midpoint.
-    with timer.exponentials():
-        exp_static = _cast(matexp(-1j * tau * d_harm), precision)
-    coeffs = _cast(coeffs0, precision)
-    for s in range(steps):
-        t_mid = (s + 0.5) * tau
-        with timer.exponentials():
-            a_driven = -1j * (d_harm + np.sin(t_mid) ** 2 * x_op)
-            exp_driven = _cast(matexp(tau * a_driven), precision)
-        with timer.mode_products():
-            coeffs = tucker(coeffs, (exp_static, exp_static, exp_driven))
-    return basis, coeffs0, coeffs
+    return lambda t: (a_static, a_static, -1j * (d_harm + np.sin(t) ** 2 * x_op))
 
 
-def hkmp_solve(k, T=1.0, steps=16, precision="double"):
+def hkmp_solve(k, T=1.0, steps=16, _run=None):
     """Magnus-midpoint propagation in coefficient space.
 
     Returns ``(basis, coeffs0, coeffsT)``.
     """
     if k < 2:
         raise ConfigurationError(f"the Hermite solver needs k >= 2, got {k}")
-    if steps < 1:
-        raise ConfigurationError("need at least one time step")
-    return _hkmp_propagate(k, T, steps, precision)
+    run = _Run("double", T, steps) if _run is None else _run
+    basis, coeffs0 = _hermite_initial(k, run)
+    coeffs = magnus_midpoint_step(hkmp_factors(basis), _cast(coeffs0, run.precision), 0.0,
+                                  run.grid.tau, steps=run.grid.steps, _timer=run)
+    return basis, coeffs0, coeffs
 
 
 def hkmp_run(k, T=1.0, steps=32, ref_steps=2048, norm_kind="max", precision="double"):
@@ -437,37 +389,25 @@ def hkmp_run(k, T=1.0, steps=32, ref_steps=2048, norm_kind="max", precision="dou
 
     The error compares node values against a fine-step reference with the
     same spatial resolution, isolating the time-discretization error.
-    ``ref_steps=None`` skips the reference.
+    ``ref_steps=None`` skips the reference.  The transforms run in double
+    precision, as for :func:`hkp_run`.
     """
     if k < 8:
         raise ConfigurationError(f"the benchmark run needs k >= 8, got {k}")
-    timer = PhaseTimer()
-    basis, _, coeffs = _hkmp_propagate(k, T, steps, precision, timer)
+    if ref_steps is not None:
+        _check_steps(ref_steps)
+    run = _Run(precision, T, steps)
+    basis, _, coeffs = hkmp_solve(k, T, steps, _run=run)
     bases = (basis,) * 3
-    with timer.mode_products():
+    with run.mode_products():
         values = inverse_transform(bases, coeffs.astype(np.complex128))
-    t_exp, t_mu, t_other, total = timer.totals()
 
-    if ref_steps is None:
-        error = float("nan")
-    else:
-        _, _, coeffs_ref = _hkmp_propagate(k, T, ref_steps)
-        ref_values = inverse_transform(bases, coeffs_ref)
-        error = relative_error(values, ref_values, norm_kind)
-    return RunReport(
-        problem="schrodinger-td",
-        shape=(k, k, k),
-        steps=steps,
-        tau=T / steps,
-        error=error,
-        norm_kind=norm_kind,
-        time_exp_s=t_exp,
-        time_mumode_s=t_mu,
-        time_other_s=t_other,
-        total_s=total,
-        k=k,
-        precision=precision,
-    )
+    def error(values):
+        _, _, coeffs_ref = hkmp_solve(k, T, ref_steps)
+        return relative_error(values, inverse_transform(bases, coeffs_ref), norm_kind)
+
+    return run.report("schrodinger-td", values, None if ref_steps is None else error, norm_kind,
+                      k=k)
 
 
 # ---------------------------------------------------------------------------
@@ -512,32 +452,17 @@ def vortex_pair_state(grids, profile=VortexProfile()):
     return np.asfortranarray(psi_a * psi_b)
 
 
-def gpe_setup(n, half_width=20.0, strength=2.0):
+def gpe_setup(n):
     """Grids, linear generator and quadrature weights of the splitting scheme.
 
-    The grids cluster toward the vortex region.  The linear generator
+    The grids on ``[-20, 20]`` cluster toward the vortex region.  The linear generator
     factors are ``i`` times the symmetrized half-Laplacian factors, acting
     on the weighted variables ``W^(1/2) psi``.
     """
-    grids = tuple(sinh_clustered_grid(n, half_width, strength) for _ in range(3))
+    grids = tuple(sinh_clustered_grid(n) for _ in range(3))
     sym_op, weights = gpe_weighted_factors(grids)
     linear_op = KroneckerOp(tuple(1j * a for a in sym_op.factors))
     return grids, linear_op, weights
-
-
-def _inverse_weight_product(weights, shape, dtype):
-    d = len(shape)
-    out = np.ones(shape, order="F")
-    for ax, w in enumerate(weights):
-        w = np.asarray(w, dtype=float)
-        if w.shape != (shape[ax],):
-            raise ShapeError(
-                f"direction {ax + 1}: weight vector of shape {w.shape} does not match "
-                f"extent {shape[ax]}"
-            )
-        out *= w.reshape((1,) * ax + (w.size,) + (1,) * (d - ax - 1))
-    np.divide(1.0, out, out=out)
-    return out.astype(dtype, copy=False)
 
 
 class _PhaseRotation:
@@ -552,7 +477,10 @@ class _PhaseRotation:
 
     def __init__(self, weights, shape, dtype):
         self.factor = np.empty(shape, dtype=dtype, order="F")
-        self.inv_w = _inverse_weight_product(weights, shape, self.factor.real.dtype)
+        # Scaling a broadcast 1 keeps this at one full-size array.
+        inv_w = scale_modes(np.broadcast_to(1.0, shape), weights)
+        np.divide(1.0, inv_w, out=inv_w)
+        self.inv_w = inv_w.astype(self.factor.real.dtype, copy=False)
 
     def __call__(self, psi, h):
         phase, scratch = self.factor.real, self.factor.imag
@@ -578,8 +506,7 @@ def gpe_strang_step(linear_cache, weights, psi, tau, steps=1, _timer=None):
     rounding because the flow leaves ``|psi|`` unchanged.  The result keeps
     the precision of ``psi`` and the cache; ``psi`` itself is not modified.
     """
-    if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 1:
-        raise ConfigurationError(f"steps must be an integer >= 1, got {steps!r}")
+    _check_steps(steps)
     psi = np.asarray(psi)
     if psi.shape != linear_cache.shape:
         raise ShapeError(f"state shape {psi.shape} does not match cache shape {linear_cache.shape}")
@@ -596,48 +523,30 @@ def gpe_strang_step(linear_cache, weights, psi, tau, steps=1, _timer=None):
     return psi
 
 
-def gpe_run(n, T=2.5, tau=0.1, precision="double", half_width=20.0, strength=2.0,
-            initial=None):
+def gpe_run(n, T=2.5, tau=0.1, precision="double"):
     """Strang-split vortex-pair evolution.
 
     ``steps = round(T / tau)`` and the actual step size is ``T / steps``.
     The reported ``error`` field is the relative drift of the conserved
     weighted two-norm over the whole run (the two-norm of the weighted
     variables), so values near machine precision indicate a healthy run.
-    ``initial`` overrides the vortex-pair start state (raw, unweighted).
+    Both norms are accumulated in double precision, also in a
+    single-precision run.
     """
     if n < 16:
         raise ConfigurationError(f"the vortex run needs n >= 16, got {n}")
     if tau <= 0 or T <= 0:
         raise ConfigurationError("final time and step size must be positive")
-    steps = max(1, round(T / tau))
-    tg = TimeGrid(0.0, T, steps)
-    timer = PhaseTimer()
-    grids, linear_op, weights = gpe_setup(n, half_width, strength)
-    psi = vortex_pair_state(grids) if initial is None else np.asarray(initial, dtype=complex)
-    if psi.shape != linear_op.shape:
-        raise ShapeError(f"initial state shape {psi.shape} does not match grid {linear_op.shape}")
-    sqrt_weights = [np.sqrt(w) for w in weights]
-    for ax, sw in enumerate(sqrt_weights):
-        psi = psi * sw.reshape((1,) * ax + (n,) + (1,) * (2 - ax))
-    psi = _cast(np.asfortranarray(psi), precision)
-    with timer.exponentials():
-        cache = _cast_cache(prepare(linear_op, tg.tau), precision)
-    norm0 = tensor_norm(psi, "two")
-    psi = gpe_strang_step(cache, weights, psi, tg.tau, steps=steps, _timer=timer)
-    drift = abs(tensor_norm(psi, "two") - norm0) / norm0
-    t_exp, t_mu, t_other, total = timer.totals()
-    return RunReport(
-        problem="gpe",
-        shape=linear_op.shape,
-        steps=steps,
-        tau=tg.tau,
-        error=drift,
-        norm_kind="weighted_two",
-        time_exp_s=t_exp,
-        time_mumode_s=t_mu,
-        time_other_s=t_other,
-        total_s=total,
-        n=n,
-        precision=precision,
-    )
+    run = _Run(precision, T, max(1, round(T / tau)))
+    grids, linear_op, weights = gpe_setup(n)
+    psi = _cast(scale_modes(vortex_pair_state(grids), [np.sqrt(w) for w in weights]), precision)
+    with run.exponentials():
+        cache = prepare(linear_op, run.grid.tau, psi.dtype)
+    norm0 = _two_norm64(psi)
+    psi = gpe_strang_step(cache, weights, psi, run.grid.tau, steps=run.grid.steps, _timer=run)
+    return run.report("gpe", psi, lambda psi: abs(_two_norm64(psi) - norm0) / norm0,
+                      "weighted_two", n=n)
+
+
+def _two_norm64(psi):
+    return tensor_norm(psi.astype(np.complex128, copy=False), "two")

@@ -1,4 +1,4 @@
-"""Dense order-d tensor kernels: fibers, mu-mode products, Tucker operator, norms.
+"""Dense order-d tensor kernels: mu-mode products, Tucker operator, mode scaling, norms.
 
 A tensor is a plain ``numpy.ndarray`` whose entry ``(i_1, ..., i_d)`` sits at
 linear position ``i_1 + n_1*i_2 + n_1*n_2*i_3 + ...`` (0-based), i.e. the
@@ -24,9 +24,9 @@ from .errors import ConfigurationError, InvalidDirectionError, ShapeError
 __all__ = [
     "FlopCounter",
     "count_flops",
-    "mu_fiber_count",
     "mu_mode_product",
     "norm",
+    "scale_modes",
     "tucker",
 ]
 
@@ -64,17 +64,6 @@ def _check_direction(ndim, mu):
         raise InvalidDirectionError(f"direction index must be an integer, got {mu!r}")
     if not 1 <= mu <= ndim:
         raise InvalidDirectionError(f"direction {mu} outside 1..{ndim}")
-
-
-def mu_fiber_count(shape, mu):
-    """Number of mu-fibers of a tensor with the given extents, ``N / n_mu``."""
-    dims = tuple(int(n) for n in shape)
-    if not dims:
-        raise ShapeError("shape must have at least one extent")
-    if any(n < 1 for n in dims):
-        raise ShapeError(f"extents must be positive, got {dims}")
-    _check_direction(len(dims), mu)
-    return prod(dims) // dims[mu - 1]
 
 
 def mu_mode_product(u, mat, mu):
@@ -166,6 +155,34 @@ def tucker(u, mats):
     return out
 
 
+def _mode_vectors(u, vectors):
+    """``vectors`` as arrays, one per direction of ``u`` and as long as it (else ShapeError)."""
+    if len(vectors) != u.ndim:
+        raise ShapeError(f"expected {u.ndim} vectors, got {len(vectors)}")
+    out = [np.asarray(v) for v in vectors]
+    for mu, v in enumerate(out, start=1):
+        if v.shape != (u.shape[mu - 1],):
+            raise ShapeError(
+                f"direction {mu}: vector of shape {v.shape} does not match extent {u.shape[mu - 1]}"
+            )
+    return out
+
+
+def scale_modes(u, vectors):
+    """``u`` times the outer product of one vector per direction.
+
+    ``vectors[mu-1]`` scales direction mu.  The result is a Fortran-ordered
+    copy of ``u`` in the result dtype, multiplied by one direction at a
+    time in ascending order, in place.
+    """
+    u = np.asarray(u)
+    vectors = _mode_vectors(u, vectors)
+    out = np.array(u, dtype=np.result_type(u, *vectors), order="F")
+    for ax, v in enumerate(vectors):
+        out *= v.reshape((1,) * ax + (v.size,) + (1,) * (u.ndim - ax - 1))
+    return out
+
+
 def norm(u, kind="two", weights=None):
     """Tensor norm: ``max`` entry modulus, Euclidean ``two``, or ``weighted_two``.
 
@@ -181,19 +198,9 @@ def norm(u, kind="two", weights=None):
     if kind == "weighted_two":
         if weights is None:
             raise ConfigurationError("weighted_two norm requires per-direction weights")
-        if len(weights) != u.ndim:
-            raise ShapeError(f"expected {u.ndim} weight vectors, got {len(weights)}")
-        wvecs = []
-        for mu, w in enumerate(weights, start=1):
-            w = np.asarray(w, dtype=float)
-            if w.shape != (u.shape[mu - 1],):
-                raise ShapeError(
-                    f"direction {mu}: weight vector of shape {w.shape} does not match "
-                    f"extent {u.shape[mu - 1]}"
-                )
-            wvecs.append(w)
+        wvecs = _mode_vectors(u, weights)
         acc = np.abs(u) ** 2
         for w in reversed(wvecs):
-            acc = acc @ w
+            acc = acc @ np.asarray(w, dtype=float)
         return float(np.sqrt(acc))
     raise ConfigurationError(f"unknown norm kind {kind!r}")

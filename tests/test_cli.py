@@ -35,6 +35,40 @@ RUN_REPORT_SCHEMA = {
 }
 
 
+TIMING_FIELDS = {"time_exp_s", "time_mumode_s", "time_other_s", "total_s"}
+
+# Non-timing JSON fields of each command at --threads 1, captured before the
+# five drivers shared one run path; floats are compared to 1e-12 relative.
+# The gpe and pipeflow errors are at round-off level, so another BLAS build
+# may not reproduce them.
+GOLDEN_REPORTS = [
+    (["heat", "--n", "16", "--p", "4", "--T", "0.5", "--steps", "3"],
+     {"problem": "heat", "shape": [16, 16, 16], "steps": 3, "tau": 0.16666666666666666,
+      "error": 0.00013032190535557168, "norm_kind": "max", "n": 16, "k": None, "p": 4.0,
+      "precision": "double"}),
+    (["pipeflow", "--n", "16", "--T", "1", "--steps", "2"],
+     {"problem": "pipeflow", "shape": [16, 16], "steps": 2, "tau": 0.5,
+      "error": 7.441471684948816e-13, "norm_kind": "max", "n": 16, "k": None, "p": None,
+      "precision": "double"}),
+    (["schrodinger-ti", "--k", "10", "--k-ref", "16"],
+     {"problem": "schrodinger-ti", "shape": [10, 10, 10], "steps": 1, "tau": 1.0,
+      "error": 0.6942447946073698, "norm_kind": "max", "n": None, "k": 10, "p": None,
+      "precision": "double"}),
+    (["schrodinger-td", "--k", "8", "--steps", "4", "--ref-steps", "64"],
+     {"problem": "schrodinger-td", "shape": [8, 8, 8], "steps": 4, "tau": 0.25,
+      "error": 0.001732346544419975, "norm_kind": "max", "n": None, "k": 8, "p": None,
+      "precision": "double"}),
+    (["gpe", "--n", "16", "--T", "0.3", "--tau", "0.1"],
+     {"problem": "gpe", "shape": [16, 16, 16], "steps": 3, "tau": 0.09999999999999999,
+      "error": 2.2679051825996226e-16, "norm_kind": "weighted_two", "n": 16, "k": None,
+      "p": None, "precision": "double"}),
+]
+
+
+def _non_timing(payload):
+    return {key: value for key, value in payload.items() if key not in TIMING_FIELDS}
+
+
 def _run_capture(argv, capsys):
     code = run(parse_args(argv))
     out = capsys.readouterr().out
@@ -189,6 +223,34 @@ class TestRun:
         code, _ = _run_capture(
             ["heat", "--n", "12", "--output", "csv", "--out", str(target)], capsys)
         assert code == 1
+
+    @pytest.mark.parametrize("argv, want", GOLDEN_REPORTS,
+                             ids=[argv[0] for argv, _ in GOLDEN_REPORTS])
+    def test_report_values_are_pinned(self, argv, want, capsys):
+        code, out = _run_capture(argv + ["--threads", "1", "--output", "json"], capsys)
+        assert code == 0
+        got = _non_timing(json.loads(out))
+        assert got.keys() == want.keys()
+        for key, value in want.items():
+            if isinstance(value, float):
+                assert got[key] == pytest.approx(value, rel=1e-12), key
+            else:
+                assert got[key] == value, key
+
+    @pytest.mark.parametrize("argv", [
+        ["heat", "--n", "8"],
+        ["pipeflow", "--n", "16"],
+        ["schrodinger-ti", "--k", "8"],
+        ["schrodinger-td", "--k", "8"],
+        ["gpe", "--n", "16"],
+    ], ids=lambda argv: argv[0])
+    def test_one_value_sweep_matches_the_single_command(self, argv, capsys):
+        problem, flag, value = argv
+        common = ["--threads", "1", "--output", "json"]
+        _, single = _run_capture(argv + common, capsys)
+        _, swept = _run_capture(["sweep", "--problem", problem, flag, value] + common, capsys)
+        (row,) = json.loads(swept)
+        assert _non_timing(row) == _non_timing(json.loads(single))
 
     def test_determinism_of_non_timing_fields(self, capsys):
         timing = {"time_exp_s", "time_mumode_s", "time_other_s", "total_s"}

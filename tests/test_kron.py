@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kronmode.errors import InvalidInputError, OracleSizeError, ShapeError
+from kronmode.errors import ConfigurationError, InvalidInputError, OracleSizeError, ShapeError
 from kronmode.kron import KroneckerOp, PropagatorCache, assemble_full, matvec, prepare, step
 from kronmode.linalg import matexp
 from kronmode.tensor import count_flops, norm, tucker
@@ -124,6 +124,16 @@ class TestPrepare:
         for exp, a in zip(cache.exps, op.factors):
             assert np.array_equal(exp, matexp(0.7 * a))
 
+    @pytest.mark.parametrize("complex_factors, dtype",
+                             [(False, np.float32), (True, np.complex64)])
+    def test_dtype_casts_the_double_exponentials(self, complex_factors, dtype):
+        rng = np.random.default_rng(13)
+        op = random_op(rng, (4, 3), complex_factors=complex_factors)
+        cache = prepare(op, 0.7, dtype)
+        for exp, a in zip(cache.exps, op.factors):
+            assert exp.dtype == dtype
+            assert np.array_equal(exp, matexp(0.7 * a).astype(dtype))
+
 
 class TestStep:
     def test_zero_increment_is_identity(self):
@@ -215,3 +225,19 @@ class TestStep:
         cache = prepare(op, 0.1)
         with pytest.raises(ShapeError):
             step(cache, np.ones((2, 4)))
+
+    def test_steps_match_repeated_single_steps(self):
+        rng = np.random.default_rng(14)
+        op = random_op(rng, (3, 4, 2))
+        u = np.asfortranarray(rng.standard_normal((3, 4, 2)))
+        cache = prepare(op, 0.1)
+        single = u
+        for _ in range(5):
+            single = step(cache, single)
+        assert np.array_equal(step(cache, u, steps=5), single)
+
+    @pytest.mark.parametrize("steps", [0, -1, 2.0, True, None])
+    def test_steps_must_be_a_positive_integer(self, steps):
+        cache = prepare(KroneckerOp((np.eye(2),)), 0.1)
+        with pytest.raises(ConfigurationError):
+            step(cache, np.ones(2), steps=steps)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kronmode.errors import ConfigurationError, InvalidDirectionError, ShapeError
-from kronmode.tensor import count_flops, mu_fiber_count, mu_mode_product, norm, tucker
+from kronmode.tensor import count_flops, mu_mode_product, norm, scale_modes, tucker
 
 
 def loop_mu_mode(u, mat, mu):
@@ -29,23 +29,6 @@ def kron_vec_apply(u, mats):
 
 
 shapes = st.lists(st.integers(1, 4), min_size=1, max_size=4).map(tuple)
-
-
-class TestMuFiberCount:
-    def test_examples(self):
-        assert mu_fiber_count((2, 3, 4), 2) == 8
-        assert mu_fiber_count((5,), 1) == 1
-        assert mu_fiber_count((40, 40, 40), 3) == 1600
-
-    def test_direction_out_of_range(self):
-        with pytest.raises(InvalidDirectionError):
-            mu_fiber_count((2, 3), 0)
-        with pytest.raises(InvalidDirectionError):
-            mu_fiber_count((2, 3), 3)
-
-    def test_bad_extent(self):
-        with pytest.raises(ShapeError):
-            mu_fiber_count((2, 0), 1)
 
 
 class TestMuModeProduct:
@@ -174,6 +157,31 @@ class TestTucker:
     def test_wrong_slot_count(self):
         with pytest.raises(ShapeError):
             tucker(np.zeros((2, 3)), [np.eye(2)])
+
+
+class TestScaleModes:
+    @settings(max_examples=30, deadline=None)
+    @given(shape=shapes, seed=st.integers(0, 2**31))
+    def test_matches_outer_product_oracle(self, shape, seed):
+        rng = np.random.default_rng(seed)
+        u = rng.standard_normal(shape)
+        vectors = [rng.standard_normal(n) for n in shape]
+        outer = np.ones(())
+        for v in vectors:
+            outer = np.multiply.outer(outer, v)
+        got = scale_modes(u, vectors)
+        assert got.shape == shape
+        assert np.abs(got - u * outer).max() <= 1e-14 * max(np.abs(u * outer).max(), 1e-300)
+
+    def test_complex_promotion(self):
+        got = scale_modes(np.ones((2, 3)), [np.array([1j, 2.0]), np.ones(3)])
+        assert np.array_equal(got, np.array([[1j] * 3, [2.0] * 3]))
+
+    def test_vector_count_and_length_checked(self):
+        with pytest.raises(ShapeError):
+            scale_modes(np.ones((2, 3)), [np.ones(2)])
+        with pytest.raises(ShapeError, match="direction 2"):
+            scale_modes(np.ones((2, 3)), [np.ones(2), np.ones(2)])
 
 
 class TestNorm:
