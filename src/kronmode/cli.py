@@ -38,6 +38,12 @@ _GRID_BASED = ("heat", "pipeflow", "gpe")  # swept over --n; the others over --k
 
 @dataclass
 class CliConfig:
+    """One parsed command line.
+
+    :func:`parse_args` sets every field, so the parser is the only source
+    of defaults.
+    """
+
     command: str
     n: int | None = None
     n_list: list = field(default_factory=list)
@@ -50,11 +56,11 @@ class CliConfig:
     k_ref: int | None = None
     ref_steps: int | None = None
     problem: str | None = None
-    precision: str = "double"
-    norm: str = "max"
-    output: str = "table"
+    precision: str | None = None
+    norm: str | None = None
+    output: str | None = None
     out_path: str | None = None
-    seed: int = 1234
+    seed: int | None = None
     threads: int | None = None
 
 

@@ -20,9 +20,10 @@ from .tensor import mu_mode_product, tucker
 __all__ = ["KroneckerOp", "PropagatorCache", "assemble_full", "matvec", "prepare", "step"]
 
 
-def _check_square_finite(mats, what):
+def _check_square_finite(mats, what, vectors=False):
+    """Every matrix square (1-D entries allowed with ``vectors``) and finite."""
     for mu, a in enumerate(mats, start=1):
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        if not (vectors and a.ndim == 1) and (a.ndim != 2 or a.shape[0] != a.shape[1]):
             raise ShapeError(f"{what} {mu} must be square, got shape {a.shape}")
         if not np.isfinite(a).all():
             raise InvalidInputError(f"{what} {mu} has non-finite entries")
@@ -63,8 +64,10 @@ class PropagatorCache:
     """Precomputed ``exp(tau*A_mu)`` factors for a fixed time increment.
 
     Immutable: rebuild via :func:`prepare` whenever ``tau`` or a factor
-    changes.  Every factor must be square and finite, as for
-    :class:`KroneckerOp`.
+    changes.  Every entry must be finite, and either a square matrix or a
+    1-D vector that stands for a diagonal exponential (as :func:`prepare`
+    builds for an exactly diagonal factor; :func:`kronmode.tensor.tucker`
+    applies it as a scaling).
     """
 
     tau: float
@@ -72,7 +75,7 @@ class PropagatorCache:
 
     def __post_init__(self):
         exps = tuple(np.asarray(e) for e in self.exps)
-        _check_square_finite(exps, "exponential factor")
+        _check_square_finite(exps, "exponential factor", vectors=True)
         object.__setattr__(self, "exps", exps)
 
     @property
@@ -121,16 +124,44 @@ def _check_steps(steps):
         raise ConfigurationError(f"steps must be an integer >= 1, got {steps!r}")
 
 
+def _factor_exp(tau, a):
+    """``exp(tau*a)``: a 1-D vector if ``a`` is exactly diagonal, else :func:`matexp`.
+
+    The vector holds the diagonal of the exponential.  Exactly diagonal
+    means that every off-diagonal entry is zero, with no tolerance.  A
+    non-square or non-finite ``a`` is rejected on either path.
+    """
+    a = np.asarray(a)
+    if a.ndim == 2 and np.count_nonzero(a) == np.count_nonzero(np.diagonal(a)):
+        _check_square_finite((a,), "factor")
+        return np.exp(tau * np.diagonal(a))
+    return matexp(tau * a)
+
+
+def _flush_subnormals(e):
+    """Zero, in place, every real or imaginary part of ``e`` below its dtype's ``tiny``."""
+    tiny = np.finfo(e.dtype).tiny
+    for part in (e.real, e.imag) if np.iscomplexobj(e) else (e,):
+        part[np.abs(part) < tiny] = 0
+
+
 def prepare(op, tau, dtype=None):
     """Exponentiate every factor once for time increment ``tau``.
 
-    The exponentials are computed in double precision; with ``dtype`` (the
-    state's dtype, say ``np.float32`` for a single-precision run) each one is
-    then cast to it.
+    An exactly diagonal factor gets the 1-D vector of its exponential's
+    diagonal, every other one the dense exponential (see
+    :class:`PropagatorCache`).  The exponentials are computed in double
+    precision; with ``dtype`` (the state's dtype, say ``np.float32`` for a
+    single-precision run) each one is then cast to it.  A single-precision
+    cast flushes subnormal parts to zero: they would slow every mode
+    product that reads them and are below the precision of any result.
     """
-    exps = (matexp(tau * a) for a in op.factors)
+    exps = [_factor_exp(tau, a) for a in op.factors]
     if dtype is not None:
-        exps = (e.astype(dtype, copy=False) for e in exps)
+        exps = [e.astype(dtype, copy=False) for e in exps]
+        if np.dtype(dtype) in (np.float32, np.complex64):
+            for e in exps:
+                _flush_subnormals(e)
     return PropagatorCache(tau, tuple(exps))
 
 

@@ -40,9 +40,8 @@ from .hermite import (
     inverse_transform,
     position_operator,
 )
-from .kron import KroneckerOp, _check_steps, prepare, step
+from .kron import KroneckerOp, _check_steps, _factor_exp, prepare, step
 from .krylov import arnoldi_expmv
-from .linalg import matexp
 from .tensor import norm as tensor_norm
 from .tensor import scale_modes, tucker
 
@@ -330,11 +329,14 @@ def magnus_midpoint_step(factors_of_t, u, t, tau, steps=1, _timer=None):
     to the exact propagator when M is constant.  ``factors_of_t(t)`` returns
     the factors of M(t), one square matrix per direction of ``u``.
 
-    Factor reuse: a direction is exponentiated again only when
-    ``factors_of_t`` returns a different array object for it than at the
-    previous midpoint of the call, so static factors returned as the same
-    objects (as by :func:`hkmp_factors`) are exponentiated, and checked for
-    shape and finiteness, once per call.  A single-precision ``u`` gets its
+    Factor reuse: a factor is exponentiated only when ``factors_of_t``
+    returns an array object that it did not return at the previous midpoint
+    of the call, and then once even if it serves several directions.  So
+    static factors returned as the same objects (as by
+    :func:`hkmp_factors`) are exponentiated, and checked for shape and
+    finiteness, once per call.  An exactly diagonal factor gets the vector
+    of its exponential's diagonal and is applied as a scaling (see
+    :func:`kronmode.tensor.tucker`).  A single-precision ``u`` gets its
     exponentials cast to single.
     """
     _check_steps(steps)
@@ -342,17 +344,21 @@ def magnus_midpoint_step(factors_of_t, u, t, tau, steps=1, _timer=None):
     precision = "single" if u.dtype in (np.float32, np.complex64) else "double"
     timed_exp = nullcontext if _timer is None else _timer.exponentials
     timed_mu = nullcontext if _timer is None else _timer.mode_products
-    factors = exps = (None,) * u.ndim
+    # id -> (factor, exponential) for the factors of the latest midpoint; the
+    # factor is held, so its id is not reused by another object meanwhile.
+    known = {}
     for s in range(steps):
         now = tuple(factors_of_t(t + (s + 0.5) * tau))
         if len(now) != u.ndim:
             raise ShapeError(f"expected {u.ndim} factors, got {len(now)}")
         with timed_exp():
-            exps = tuple(e if a is old else _cast(matexp(tau * a), precision)
-                         for a, old, e in zip(now, factors, exps))
-        factors = now
+            previous, known = known, {}
+            for a in now:
+                if id(a) not in known:
+                    known[id(a)] = previous.get(id(a)) or (
+                        a, _cast(_factor_exp(tau, a), precision))
         with timed_mu():
-            u = tucker(u, exps)
+            u = tucker(u, [known[id(a)][1] for a in now])
     return u
 
 

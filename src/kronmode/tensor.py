@@ -132,27 +132,46 @@ def mu_mode_product(u, mat, mu):
 def tucker(u, mats):
     """Apply one matrix per direction: ``u x_1 mats[0] x_2 ... x_d mats[d-1]``.
 
-    ``None`` entries are skipped.  Distinct directions commute, so the fixed
-    ascending application order is a reproducibility choice, not a
-    mathematical one.
+    ``None`` entries are skipped.  A 1-D entry of length ``n_mu`` stands for
+    the diagonal matrix with that diagonal: the dense entries go through
+    :func:`mu_mode_product` first, in ascending direction order, and the
+    diagonal ones then scale the result in place, one direction at a time
+    (``u`` itself is copied first, never written).  Scalings are not mode
+    products, so :func:`count_flops` does not count them.  Distinct
+    directions commute, so the fixed order is a reproducibility choice, not
+    a mathematical one.  The result has dtype ``np.result_type`` of ``u``
+    and the entries.
     """
     u = np.asarray(u)
     if len(mats) != u.ndim:
         raise ShapeError(f"expected {u.ndim} matrix slots, got {len(mats)}")
+    mats = [None if mat is None else np.asarray(mat) for mat in mats]
     for mu, mat in enumerate(mats, start=1):
         if mat is None:
             continue
-        mat = np.asarray(mat)
-        if mat.ndim != 2 or mat.shape[1] != u.shape[mu - 1]:
+        n_mu = u.shape[mu - 1]
+        if mat.shape != (n_mu,) and (mat.ndim != 2 or mat.shape[1] != n_mu):
             raise ShapeError(
-                f"direction {mu}: matrix of shape {mat.shape} does not act on extent "
-                f"{u.shape[mu - 1]}"
+                f"direction {mu}: matrix of shape {mat.shape} does not act on extent {n_mu}"
             )
     out = u
     for mu, mat in enumerate(mats, start=1):
-        if mat is not None:
+        if mat is not None and mat.ndim == 2:
             out = mu_mode_product(out, mat, mu)
+    diagonals = [(ax, v) for ax, v in enumerate(mats) if v is not None and v.ndim == 1]
+    if not diagonals:
+        return out
+    dtype = np.result_type(out, *(v for _, v in diagonals))
+    if out is u or out.dtype != dtype:
+        out = np.array(out, dtype=dtype, order="F")
+    for ax, v in diagonals:
+        _scale_axis(out, ax, v)
     return out
+
+
+def _scale_axis(out, ax, v):
+    """Multiply ``out`` in place by ``v`` along axis ``ax``."""
+    out *= v.reshape((1,) * ax + (v.size,) + (1,) * (out.ndim - ax - 1))
 
 
 def _mode_vectors(u, vectors):
@@ -179,7 +198,7 @@ def scale_modes(u, vectors):
     vectors = _mode_vectors(u, vectors)
     out = np.array(u, dtype=np.result_type(u, *vectors), order="F")
     for ax, v in enumerate(vectors):
-        out *= v.reshape((1,) * ax + (v.size,) + (1,) * (u.ndim - ax - 1))
+        _scale_axis(out, ax, v)
     return out
 
 

@@ -52,6 +52,12 @@ class TestPropagatorCache:
         with pytest.raises(ShapeError):
             PropagatorCache(0.1, (np.zeros((2, 3)),))
 
+    def test_vector_entries_stand_for_diagonals(self):
+        cache = PropagatorCache(0.1, (np.ones(2), np.eye(3)))
+        assert cache.shape == (2, 3)
+        with pytest.raises(InvalidInputError):
+            PropagatorCache(0.1, (np.array([1.0, np.nan]), np.eye(3)))
+
 
 class TestAssembleFull:
     def test_single_factor(self):
@@ -115,7 +121,8 @@ class TestPrepare:
     def test_diagonal_factor(self):
         lam = np.array([-1.0, 0.5, 2.0])
         cache = prepare(KroneckerOp((np.diag(lam),)), 0.3)
-        assert np.allclose(np.diag(cache.exps[0]), np.exp(0.3 * lam), rtol=1e-14)
+        assert cache.exps[0].ndim == 1
+        assert np.array_equal(cache.exps[0], np.exp(0.3 * lam))
 
     def test_matches_direct_exponentials(self):
         rng = np.random.default_rng(5)
@@ -235,6 +242,22 @@ class TestStep:
         for _ in range(5):
             single = step(cache, single)
         assert np.array_equal(step(cache, u, steps=5), single)
+
+    def test_steps_match_repeated_single_steps_with_diagonal_factors(self):
+        rng = np.random.default_rng(15)
+        dense = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        op = KroneckerOp((np.diag(rng.standard_normal(3)), dense,
+                          np.diag(1j * rng.standard_normal(2))))
+        cache = prepare(op, 0.1)
+        assert [e.ndim for e in cache.exps] == [1, 2, 1]
+        u = np.asfortranarray(rng.standard_normal((3, 4, 2)))
+        single = u
+        for _ in range(5):
+            single = step(cache, single)
+        assert np.array_equal(step(cache, u, steps=5), single)
+        with count_flops() as fc:
+            step(cache, u)
+        assert fc.macs == u.size * 4  # the scalings are not mode products
 
     @pytest.mark.parametrize("steps", [0, -1, 2.0, True, None])
     def test_steps_must_be_a_positive_integer(self, steps):

@@ -5,8 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kronmode import problems
-from kronmode.errors import ConfigurationError, InvalidReferenceError, ShapeError
+from kronmode import kron, problems
+from kronmode.errors import (
+    ConfigurationError,
+    InvalidInputError,
+    InvalidReferenceError,
+    ShapeError,
+)
 from kronmode.fd import pipeflow_factors, pipeflow_grids
 from kronmode.hermite import forward_transform, harmonic_eigenvalues, hermite_basis
 from kronmode.kron import KroneckerOp, prepare, step
@@ -202,18 +207,43 @@ class TestMagnusMidpoint:
             single = magnus_midpoint_step(factors_of_t, single, 0.1 + s * tau, tau)
         assert np.array_equal(merged, single)
 
-    def test_driver_exponentiates_only_the_changed_factors(self, monkeypatch):
+    @staticmethod
+    def _count_matexp(monkeypatch):
         calls = []
-        matexp = problems.matexp
+        matexp = kron.matexp
 
         def counting_matexp(a):
             calls.append(a.shape)
             return matexp(a)
 
-        monkeypatch.setattr(problems, "matexp", counting_matexp)
+        monkeypatch.setattr(kron, "matexp", counting_matexp)
+        return calls
+
+    def test_driver_exponentiates_only_the_changed_factors(self, monkeypatch):
+        calls = self._count_matexp(monkeypatch)
         hkmp_run(8, steps=4, ref_steps=None)
-        # the driven factor once per step, the two static ones at the first
-        assert len(calls) <= 4 + 2
+        # the driven factor once per step; the two static ones are diagonal
+        assert len(calls) == 4
+
+    def test_shared_factor_object_is_exponentiated_once(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        static = rng.standard_normal((3, 3))
+        driven = rng.standard_normal((3, 3))
+
+        def factors_of_t(t):
+            return (static, static, np.sin(t) * driven)
+
+        calls = self._count_matexp(monkeypatch)
+        u = np.asfortranarray(rng.standard_normal((3, 3, 3)))
+        steps = 5
+        magnus_midpoint_step(factors_of_t, u, 0.0, 0.1, steps=steps)
+        assert len(calls) == steps + 1
+
+    def test_non_finite_or_non_square_diagonal_factor_rejected(self):
+        with pytest.raises(InvalidInputError):
+            magnus_midpoint_step(lambda t: (np.diag([1.0, np.nan]),), np.ones(2), 0.0, 0.1)
+        with pytest.raises(ShapeError):
+            magnus_midpoint_step(lambda t: (np.eye(2, 3),), np.ones(2), 0.0, 0.1)
 
     def test_single_precision_state_stays_single(self):
         basis = hermite_basis(6)
@@ -300,6 +330,14 @@ class TestGpe:
                + 1j * rng.standard_normal((16, 16, 16))).astype(np.complex64)
         cache = prepare(lin_op, 0.1, np.complex64)
         assert gpe_strang_step(cache, weights, psi, 0.1, steps=steps).dtype == np.complex64
+
+    def test_single_precision_cache_holds_no_subnormals(self):
+        cache = prepare(gpe_setup(32)[1], 0.1, np.complex64)
+        tiny = np.finfo(np.float32).tiny
+        for e in cache.exps:
+            assert e.dtype == np.complex64
+            for part in (e.real, e.imag):
+                assert not ((part != 0) & (np.abs(part) < tiny)).any()
 
     def test_single_precision_run_conserves_norm(self):
         report = gpe_run(16, T=0.5, tau=0.1, precision="single")

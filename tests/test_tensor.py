@@ -150,9 +150,48 @@ class TestTucker:
         got = tucker(u, [None, mat, None])
         assert np.abs(got - mu_mode_product(u, mat, 2)).max() == 0.0
 
+    @settings(max_examples=80, deadline=None)
+    @given(shape=shapes, seed=st.integers(0, 2**31),
+           layout=st.sampled_from(["F", "C", "strided"]),
+           single=st.booleans(), complex_u=st.booleans(), complex_mats=st.booleans())
+    def test_vector_entry_acts_as_its_diagonal(self, shape, seed, layout, single, complex_u,
+                                               complex_mats):
+        rng = np.random.default_rng(seed)
+        real = np.float32 if single else np.float64
+
+        def draw(*dims, cplx):
+            x = rng.standard_normal(dims)
+            if cplx:
+                return (x + 1j * rng.standard_normal(dims)).astype(np.result_type(real, 1j))
+            return x.astype(real)
+
+        base = draw(*shape[:-1], 2 * shape[-1], cplx=complex_u)
+        u = {"F": np.asfortranarray(base[..., ::2]), "C": np.ascontiguousarray(base[..., ::2]),
+             "strided": base[..., ::2]}[layout]
+        # every slot a diagonal (as a vector), a dense matrix or absent; one diagonal at least
+        kinds = rng.choice(["diagonal", "dense", "absent"], size=len(shape))
+        kinds[rng.integers(len(shape))] = "diagonal"
+        mats = [draw(n, cplx=complex_mats) if kind == "diagonal"
+                else draw(int(rng.integers(1, 5)), n, cplx=complex_mats) if kind == "dense"
+                else None for kind, n in zip(kinds, shape)]
+        before = u.copy()
+
+        got = tucker(u, mats)
+        want = tucker(u, [np.diag(m) if m is not None and m.ndim == 1 else m for m in mats])
+
+        assert np.array_equal(u, before)
+        assert got.dtype == np.result_type(u, *(m for m in mats if m is not None))
+        assert got.shape == want.shape
+        # rounding of the dense products, relative to the bound |mats| x |u|
+        scale = tucker(np.abs(u), [None if m is None else np.abs(m) for m in mats]).max()
+        tol = 1e-5 if single else 1e-14
+        assert np.abs(got - want).max() <= tol * max(scale, np.finfo(real).tiny)
+
     def test_error_names_direction(self):
         with pytest.raises(ShapeError, match="direction 2"):
             tucker(np.zeros((2, 3)), [np.eye(2), np.eye(2)])
+        with pytest.raises(ShapeError, match="direction 2"):
+            tucker(np.zeros((2, 3)), [np.eye(2), np.ones(2)])
 
     def test_wrong_slot_count(self):
         with pytest.raises(ShapeError):
