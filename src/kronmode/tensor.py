@@ -135,7 +135,7 @@ def tucker(u, mats):
     ``None`` entries are skipped.  A 1-D entry of length ``n_mu`` stands for
     the diagonal matrix with that diagonal: the dense entries go through
     :func:`mu_mode_product` first, in ascending direction order, and the
-    diagonal ones then scale the result in place, one direction at a time
+    diagonal ones then scale the result in place, all in one multiply
     (``u`` itself is copied first, never written).  Scalings are not mode
     products, so :func:`count_flops` does not count them.  Distinct
     directions commute, so the fixed order is a reproducibility choice, not
@@ -164,14 +164,18 @@ def tucker(u, mats):
     dtype = np.result_type(out, *(v for _, v in diagonals))
     if out is u or out.dtype != dtype:
         out = np.array(out, dtype=dtype, order="F")
+    # One multiply by the outer product of the diagonals: built in Fortran
+    # order, like out, so that numpy runs it in long contiguous loops.
+    scale = 1
     for ax, v in diagonals:
-        _scale_axis(out, ax, v)
+        scale = np.multiply(scale, _along(ax, v, u.ndim), order="F")
+    out *= scale
     return out
 
 
-def _scale_axis(out, ax, v):
-    """Multiply ``out`` in place by ``v`` along axis ``ax``."""
-    out *= v.reshape((1,) * ax + (v.size,) + (1,) * (out.ndim - ax - 1))
+def _along(ax, v, ndim):
+    """The vector ``v`` as an order-``ndim`` array that broadcasts along axis ``ax``."""
+    return v.reshape((1,) * ax + (v.size,) + (1,) * (ndim - ax - 1))
 
 
 def _mode_vectors(u, vectors):
@@ -198,7 +202,7 @@ def scale_modes(u, vectors):
     vectors = _mode_vectors(u, vectors)
     out = np.array(u, dtype=np.result_type(u, *vectors), order="F")
     for ax, v in enumerate(vectors):
-        _scale_axis(out, ax, v)
+        out *= _along(ax, v, u.ndim)
     return out
 
 
