@@ -190,6 +190,8 @@ class TestTucker:
     def test_error_names_direction(self):
         with pytest.raises(ShapeError, match="direction 2"):
             tucker(np.zeros((2, 3)), [np.eye(2), np.eye(2)])
+
+    def test_vector_entry_length_checked(self):
         with pytest.raises(ShapeError, match="direction 2"):
             tucker(np.zeros((2, 3)), [np.eye(2), np.ones(2)])
 
