@@ -1,8 +1,10 @@
-"""Matrix-free Arnoldi approximation of the exponential action.
+"""Matrix-free approximations of the exponential action.
 
-Independent baseline for cross-checking the exact mode-wise propagator: the
+Independent baselines for cross-checking the exact mode-wise propagator: the
 operator enters only through :func:`kronmode.kron.matvec`, never through its
-one-dimensional exponentials.
+one-dimensional exponentials.  :func:`arnoldi_expmv` is plain Arnoldi with
+restarts; ``_expmv_reference`` runs scipy's ``expm_multiply`` (Al-Mohy and
+Higham 2011) on the same action and is the pipe-flow driver's reference.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigurationError, NoConvergenceError, ShapeError
-from .kron import matvec
+from .kron import KroneckerOp, matvec
 from .linalg import matexp
 
 __all__ = ["arnoldi_expmv"]
@@ -137,3 +139,47 @@ def _arnoldi_substep(op, y0, shape, tau, tol, m_max):
 def _project(basis, hess, m, tau, beta):
     small = matexp(tau * hess[:m, :m])
     return basis[:, :m] @ (beta * small[:, 0])
+
+
+def _expmv_reference(op, v, tau):
+    """``exp(tau*M) v`` by scipy's ``expm_multiply``, to double-precision accuracy.
+
+    ``M`` acts through :func:`kronmode.kron.matvec` (see
+    :func:`_linear_operator`).  The trace is passed exactly, so no matvecs
+    go to estimating it.  The 1-norm estimate of ``expm_multiply`` draws
+    its starting vectors from numpy's legacy global generator, and another
+    draw can pick another Taylor degree and move the last bits of the
+    result; the generator is seeded for the call and the caller's state
+    restored after it, so the result is reproducible.
+    """
+    # Imported here: at module top it would add about 25 ms to ``import kronmode.cli``.
+    from scipy.sparse.linalg import expm_multiply
+
+    v = np.asarray(v)
+    dtype = np.result_type(np.float64, v.dtype, *(a.dtype for a in op.factors))
+    trace = sum(np.trace(a) * (op.size // a.shape[0]) for a in op.factors)
+    state = np.random.get_state()
+    np.random.seed(0)
+    try:
+        y = expm_multiply(tau * _linear_operator(op, dtype),
+                          v.astype(dtype, copy=False).ravel(order="F"), traceA=tau * trace)
+    finally:
+        np.random.set_state(state)
+    return y.reshape(op.shape, order="F")
+
+
+def _linear_operator(op, dtype):
+    """``op`` as a scipy ``LinearOperator`` on column-major vectorized tensors.
+
+    Its adjoint, which ``expm_multiply``'s norm estimate applies, is the
+    Kronecker sum of the conjugate-transposed factors.
+    """
+    from scipy.sparse.linalg import LinearOperator
+
+    adjoint = KroneckerOp(tuple(a.conj().T for a in op.factors))
+
+    def action(o):
+        return lambda x: matvec(o, x.reshape(op.shape, order="F")).ravel(order="F")
+
+    return LinearOperator((op.size, op.size), matvec=action(op), rmatvec=action(adjoint),
+                          dtype=dtype)

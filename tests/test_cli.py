@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import kronmode
 from kronmode import blas, problems
 from kronmode.cli import CSV_COLUMNS, main, parse_args, run
 
@@ -38,9 +43,10 @@ RUN_REPORT_SCHEMA = {
 TIMING_FIELDS = {"time_exp_s", "time_mumode_s", "time_other_s", "total_s"}
 
 # Non-timing JSON fields of each command at --threads 1, captured before the
-# five drivers shared one run path; floats are compared to 1e-12 relative.
-# The gpe and pipeflow errors are at round-off level, so another BLAS build
-# may not reproduce them.
+# five drivers shared one run path (pipeflow's error since its reference is
+# scipy's expm_multiply); floats are compared to 1e-12 relative.  The gpe and
+# pipeflow errors are round-off of the integrators, so another BLAS build may
+# not reproduce them.
 GOLDEN_REPORTS = [
     (["heat", "--n", "16", "--p", "4", "--T", "0.5", "--steps", "3"],
      {"problem": "heat", "shape": [16, 16, 16], "steps": 3, "tau": 0.16666666666666666,
@@ -48,7 +54,7 @@ GOLDEN_REPORTS = [
       "precision": "double"}),
     (["pipeflow", "--n", "16", "--T", "1", "--steps", "2"],
      {"problem": "pipeflow", "shape": [16, 16], "steps": 2, "tau": 0.5,
-      "error": 7.441471684948816e-13, "norm_kind": "max", "n": 16, "k": None, "p": None,
+      "error": 3.164324248193437e-15, "norm_kind": "max", "n": 16, "k": None, "p": None,
       "precision": "double"}),
     (["schrodinger-ti", "--k", "10", "--k-ref", "16"],
      {"problem": "schrodinger-ti", "shape": [10, 10, 10], "steps": 1, "tau": 1.0,
@@ -233,7 +239,7 @@ class TestRun:
         assert got.keys() == want.keys()
         for key, value in want.items():
             if isinstance(value, float):
-                assert got[key] == pytest.approx(value, rel=1e-12), key
+                assert got[key] == pytest.approx(value, rel=1e-12, abs=0), key
             else:
                 assert got[key] == value, key
 
@@ -343,3 +349,15 @@ class TestRun:
     def test_main_entry(self, capsys):
         assert main(["heat", "--n", "12", "--output", "csv"]) == 0
         capsys.readouterr()
+
+
+def test_import_leaves_out_scipy_sparse_linalg():
+    # The pipe-flow reference imports it when it runs; at import time it
+    # would add about 25 ms and 2.3 MB to every command.
+    env = dict(os.environ)
+    src = str(Path(kronmode.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, kronmode.cli; print('scipy.sparse.linalg' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=120, check=True).stdout
+    assert out.strip() == "False"

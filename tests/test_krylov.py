@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from kronmode import kron, krylov, linalg
 from kronmode.errors import ConfigurationError, NoConvergenceError, ShapeError
-from kronmode.fd import heat_factors
+from kronmode.fd import heat_factors, pipeflow_factors, pipeflow_grids
 from kronmode.kron import KroneckerOp, assemble_full, prepare, step
-from kronmode.krylov import arnoldi_expmv
+from kronmode.krylov import _expmv_reference, _linear_operator, arnoldi_expmv
 from kronmode.linalg import matexp
 from kronmode.tensor import norm
 
@@ -140,3 +143,115 @@ def test_complex_operator():
     got = arnoldi_expmv(op, v, 0.3, tol=1e-11)
     want = (matexp(0.3 * assemble_full(op)) @ v.ravel(order="F")).reshape((6, 6), order="F")
     assert norm(got - want, "two") <= 1e-9 * norm(want, "two")
+
+
+def _random_op(rng, shape, complex_factors):
+    """Dense non-normal factors, complex ones with independent real and imaginary parts."""
+    factors = []
+    for n in shape:
+        a = rng.standard_normal((n, n))
+        if complex_factors:
+            a = a + 1j * rng.standard_normal((n, n))
+        factors.append(a)
+    return KroneckerOp(tuple(factors))
+
+
+class TestExpmvReference:
+    @settings(max_examples=60, deadline=None)
+    @given(shape=st.lists(st.integers(1, 5), min_size=1, max_size=3).map(tuple),
+           seed=st.integers(0, 2**31), tau=st.floats(-1.0, 1.0),
+           complex_factors=st.booleans(), complex_v=st.booleans(),
+           layout=st.sampled_from(["F", "C", "strided"]))
+    def test_matches_dense_exponential(self, shape, seed, tau, complex_factors, complex_v,
+                                       layout):
+        rng = np.random.default_rng(seed)
+        op = _random_op(rng, shape, complex_factors)
+        base = rng.standard_normal(shape[:-1] + (2 * shape[-1],))
+        if complex_v:
+            base = base + 1j * rng.standard_normal(base.shape)
+        view = base[..., ::2]
+        v = {"F": np.asfortranarray(view), "C": np.ascontiguousarray(view), "strided": view}[layout]
+        got = _expmv_reference(op, v, tau)
+        # Eight applications of exp(tau/8 * M): with |tau*M| up to about 8,
+        # the squarings inside one exp(tau*M) amplify the oracle's own
+        # rounding to 3e-13, while the reference is accurate to 1e-15.
+        want = v.ravel(order="F")
+        substep = matexp(tau / 8 * assemble_full(op))
+        for _ in range(8):
+            want = substep @ want
+        want = want.reshape(shape, order="F")
+        assert got.shape == shape
+        assert norm(got - want, "two") <= 1e-12 * norm(want, "two")
+
+    @pytest.mark.parametrize("complex_factors", [False, True])
+    def test_adjoint_is_the_conjugate_transpose(self, complex_factors):
+        rng = np.random.default_rng(8)
+        op = _random_op(rng, (3, 4, 2), complex_factors)
+        dtype = np.complex128 if complex_factors else np.float64
+        generator = _linear_operator(op, dtype)
+        x = rng.standard_normal(op.size) + 1j * rng.standard_normal(op.size)
+        full = assemble_full(op)
+        assert np.allclose(generator.matvec(x), full @ x, rtol=0, atol=1e-13)
+        assert np.allclose(generator.rmatvec(x), full.conj().T @ x, rtol=0, atol=1e-13)
+
+    def test_passes_the_exact_trace(self, monkeypatch):
+        import scipy.sparse.linalg
+
+        seen = []
+        original = scipy.sparse.linalg.expm_multiply
+
+        def spy(a, b, **kwargs):
+            seen.append(kwargs["traceA"])
+            return original(a, b, **kwargs)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "expm_multiply", spy)
+        rng = np.random.default_rng(12)
+        op = _random_op(rng, (3, 4, 2), True)
+        _expmv_reference(op, np.ones((3, 4, 2)), 0.6)
+        assert seen == [pytest.approx(0.6 * np.trace(assemble_full(op)), rel=1e-14)]
+
+    def test_zero_increment_returns_input(self):
+        rng = np.random.default_rng(9)
+        op = _random_op(rng, (4, 3), False)
+        v = np.asfortranarray(rng.standard_normal((4, 3)))
+        assert np.array_equal(_expmv_reference(op, v, 0.0), v)
+
+    def test_zero_vector(self):
+        rng = np.random.default_rng(10)
+        op = _random_op(rng, (4, 3), True)
+        got = _expmv_reference(op, np.zeros((4, 3)), 0.7)
+        assert np.array_equal(got, np.zeros((4, 3)))
+
+    def test_never_exponentiates_a_factor(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the reference must not use the factor exponentials")
+
+        monkeypatch.setattr(kron, "_factor_exp", forbidden)
+        for module in (kron, krylov, linalg):
+            monkeypatch.setattr(module, "matexp", forbidden)
+        rng = np.random.default_rng(11)
+        op = _random_op(rng, (5, 4), False)
+        v = np.asfortranarray(rng.standard_normal((5, 4)))
+        got = _expmv_reference(op, v, 0.3)
+        monkeypatch.undo()
+        assert norm(got - step(prepare(op, 0.3), v), "two") <= 1e-12 * norm(got, "two")
+
+    def test_independent_of_the_global_generator_which_it_leaves_alone(self):
+        # At n=48, T=4 the starting vectors of the 1-norm estimate after
+        # np.random.seed(10) lead to a result that differs in the last bits
+        # from the one after seed 0.
+        n = 48
+        rho_grid, z_grid = pipeflow_grids(n)
+        c0 = np.asfortranarray(
+            np.exp(-8.0 * (rho_grid.points - 2.55) ** 2)[:, None]
+            * np.exp(-8.0 * (z_grid.points - 1.5) ** 2)[None, :]
+        )
+        op = pipeflow_factors(n)
+        results = []
+        for seed in (0, 10):
+            np.random.seed(seed)
+            results.append(_expmv_reference(op, c0, 4.0))
+            after = np.random.random()
+            np.random.seed(seed)
+            assert after == np.random.random()
+        assert np.array_equal(results[0], results[1])

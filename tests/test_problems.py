@@ -112,9 +112,11 @@ class TestHeat:
 
 
 class TestPipeflow:
-    def test_agrees_with_arnoldi_baseline(self):
-        report = pipeflow_run(32)
-        assert report.error <= 1e-8
+    def test_error_measures_the_integrator(self):
+        # The reference is accurate to about 1e-14, so the error is the
+        # integrator's round-off.
+        for n in (32, 96):
+            assert pipeflow_run(n).error <= 1e-12, n
 
     def test_step_count_invariance(self):
         op = pipeflow_factors(32)
