@@ -11,7 +11,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,7 +24,7 @@ from .linalg import matexp
 from .tensor import mu_mode_product
 from .tensor import norm as tensor_norm
 
-__all__ = ["CliConfig", "main", "parse_args", "run"]
+__all__ = ["main", "parse_args", "run"]
 
 CSV_COLUMNS = (
     "problem", "n", "k", "p", "steps", "tau", "precision", "norm",
@@ -34,34 +33,6 @@ CSV_COLUMNS = (
 
 _SWEEPABLE = ("heat", "pipeflow", "schrodinger-ti", "schrodinger-td", "gpe")
 _GRID_BASED = ("heat", "pipeflow", "gpe")  # swept over --n; the others over --k
-
-
-@dataclass
-class CliConfig:
-    """One parsed command line.
-
-    :func:`parse_args` sets every field, so the parser is the only source
-    of defaults.
-    """
-
-    command: str
-    n: int | None = None
-    n_list: list = field(default_factory=list)
-    k: int | None = None
-    k_list: list = field(default_factory=list)
-    p: float | None = None
-    T: float | None = None
-    steps: int | None = None
-    tau: float | None = None
-    k_ref: int | None = None
-    ref_steps: int | None = None
-    problem: str | None = None
-    precision: str | None = None
-    norm: str | None = None
-    output: str | None = None
-    out_path: str | None = None
-    seed: int | None = None
-    threads: int | None = None
 
 
 def _int(text):
@@ -157,7 +128,7 @@ def build_parser():
     heat.add_argument("--steps", type=_positive_int, default=1, help="number of time steps")
     _add_common(heat)
 
-    pipe = sub.add_parser("pipeflow", help="2D pipe diffusion-advection vs Arnoldi baseline")
+    pipe = sub.add_parser("pipeflow", help="2D pipe diffusion-advection vs expm_multiply reference")
     pipe.add_argument("--n", type=_positive_int, default=32, help="grid points per direction")
     pipe.add_argument("--T", type=_positive_float, default=4.0, help="final time")
     pipe.add_argument("--steps", type=_positive_int, default=1, help="number of time steps")
@@ -208,13 +179,12 @@ def build_parser():
 
 
 def parse_args(argv):
-    """Parse and validate; exits with code 2 on usage errors."""
+    """Parse and validate into a namespace; exits with code 2 on usage errors.
+
+    An unset ``--threads`` takes ``KRONMODE_THREADS`` if that is set.
+    """
     parser = build_parser()
-    ns = parser.parse_args(argv)
-    cfg = CliConfig(command=ns.command)
-    for name in vars(ns):
-        if hasattr(cfg, name):
-            setattr(cfg, name, getattr(ns, name))
+    cfg = parser.parse_args(argv)
     if cfg.threads is None:
         env = os.environ.get("KRONMODE_THREADS")
         if env is not None:
@@ -260,7 +230,7 @@ def _execute_sweep(cfg):
     reports = []
     grid_based = cfg.problem in _GRID_BASED
     for value in cfg.n_list if grid_based else cfg.k_list:
-        entry = CliConfig(**vars(base))
+        entry = argparse.Namespace(**vars(base))
         if grid_based:
             entry.n = value
         else:

@@ -138,11 +138,39 @@ def _factor_exp(tau, a):
     return matexp(tau * a)
 
 
-def _flush_subnormals(e):
-    """Zero, in place, every real or imaginary part of ``e`` below its dtype's ``tiny``."""
-    tiny = np.finfo(e.dtype).tiny
-    for part in (e.real, e.imag) if np.iscomplexobj(e) else (e,):
+def _cast(arr, dtype):
+    """``arr`` in single precision if ``dtype`` is single, else ``arr`` itself.
+
+    A single-precision result is a new array, complex64 for complex ``arr``
+    and float32 otherwise, with every real or imaginary part below float32's
+    ``tiny`` flushed to zero: subnormals would slow every mode product that
+    reads them and are below the precision of any result.
+    """
+    if np.dtype(dtype) not in (np.float32, np.complex64):
+        return arr
+    out = arr.astype(np.complex64 if np.iscomplexobj(arr) else np.float32)
+    tiny = np.finfo(np.float32).tiny
+    for part in (out.real, out.imag) if np.iscomplexobj(out) else (out,):
         part[np.abs(part) < tiny] = 0
+    return out
+
+
+def _exponentials(tau, factors, dtype=None, known=None):
+    """``exp(tau*a)`` of every factor ``a`` by :func:`_factor_exp`, cast by :func:`_cast`.
+
+    Each distinct array object is exponentiated once, even if it serves
+    several directions.  Returns the exponentials in factor order and the
+    map ``id(a) -> (a, exponential)``; passed back as ``known`` (with the
+    same ``tau`` and ``dtype``), it supplies the exponential of every factor
+    that is the same object again.  The map holds the factors, so their ids
+    are not reused by other objects while it lives.
+    """
+    known = {} if known is None else known
+    now = {}
+    for a in factors:
+        if id(a) not in now:
+            now[id(a)] = known.get(id(a)) or (a, _cast(_factor_exp(tau, a), dtype))
+    return [now[id(a)][1] for a in factors], now
 
 
 def prepare(op, tau, dtype=None):
@@ -150,19 +178,13 @@ def prepare(op, tau, dtype=None):
 
     An exactly diagonal factor gets the 1-D vector of its exponential's
     diagonal, every other one the dense exponential (see
-    :class:`PropagatorCache`).  The exponentials are computed in double
-    precision; with ``dtype`` (the state's dtype, say ``np.float32`` for a
-    single-precision run) each one is then cast to it.  A single-precision
-    cast flushes subnormal parts to zero: they would slow every mode
-    product that reads them and are below the precision of any result.
+    :class:`PropagatorCache`); a factor object shared by several directions
+    is exponentiated once.  The exponentials are computed in double
+    precision; with a single-precision ``dtype`` (the state's dtype, say
+    ``np.float32``) each one is then cast to single precision, with its
+    subnormal parts flushed to zero (see :func:`_cast`).
     """
-    exps = [_factor_exp(tau, a) for a in op.factors]
-    if dtype is not None:
-        exps = [e.astype(dtype, copy=False) for e in exps]
-        if np.dtype(dtype) in (np.float32, np.complex64):
-            for e in exps:
-                _flush_subnormals(e)
-    return PropagatorCache(tau, tuple(exps))
+    return PropagatorCache(tau, tuple(_exponentials(tau, op.factors, dtype)[0]))
 
 
 def step(cache, u, steps=1):

@@ -151,12 +151,20 @@ def _expmv_reference(op, v, tau):
     draw can pick another Taylor degree and move the last bits of the
     result; the generator is seeded for the call and the caller's state
     restored after it, so the result is reproducible.
+
+    When ``|tau|`` times the bound ``sum_mu |A_mu|_1`` of ``|M|_1`` is below
+    the double unit roundoff, ``v + tau*M v`` is the exponential action to
+    double rounding and is returned without scipy, whose norm estimates
+    overflow for ``|tau|`` near the underflow threshold.
     """
     # Imported here: at module top it would add about 25 ms to ``import kronmode.cli``.
     from scipy.sparse.linalg import expm_multiply
 
     v = np.asarray(v)
     dtype = np.result_type(np.float64, v.dtype, *(a.dtype for a in op.factors))
+    if abs(tau) * sum(np.abs(a).sum(axis=0).max() for a in op.factors) < np.finfo(float).eps / 2:
+        v = v.astype(dtype, copy=False)
+        return v + tau * matvec(op, v)
     trace = sum(np.trace(a) * (op.size // a.shape[0]) for a in op.factors)
     state = np.random.get_state()
     np.random.seed(0)

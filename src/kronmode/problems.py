@@ -41,7 +41,7 @@ from .hermite import (
     inverse_transform,
     position_operator,
 )
-from .kron import KroneckerOp, _check_steps, _factor_exp, prepare, step
+from .kron import KroneckerOp, _cast, _check_steps, _exponentials, prepare, step
 from .krylov import _expmv_reference
 from .tensor import norm as tensor_norm
 from .tensor import scale_modes, tucker
@@ -113,13 +113,6 @@ class RunReport:
         return data
 
 
-def _cast(arr, precision):
-    """``arr`` in single precision for a ``"single"`` run, unchanged for ``"double"``."""
-    if precision == "double":
-        return arr
-    return arr.astype(np.complex64 if np.iscomplexobj(arr) else np.float32, copy=False)
-
-
 class _Run:
     """The run path of every driver: precision, time grid, phase timings and report.
 
@@ -134,6 +127,7 @@ class _Run:
         if precision not in ("double", "single"):
             raise ConfigurationError(f"unknown precision {precision!r}")
         self.precision = precision
+        self.dtype = np.float32 if precision == "single" else np.float64
         self.grid = TimeGrid(0.0, T, steps)
         self.exp = self.mumode = 0.0
         self._start = time.perf_counter()
@@ -156,7 +150,7 @@ class _Run:
 
     def exact(self, op, u0):
         """``u0``, cast to the run's precision, advanced over the grid by ``exp(t*op)``."""
-        u = _cast(u0, self.precision)
+        u = _cast(u0, self.dtype)
         with self.exponentials():
             cache = prepare(op, self.grid.tau, u.dtype)
         with self.mode_products():
@@ -341,28 +335,22 @@ def magnus_midpoint_step(factors_of_t, u, t, tau, steps=1, _timer=None):
     finiteness, once per call.  An exactly diagonal factor gets the vector
     of its exponential's diagonal and is applied as a scaling (see
     :func:`kronmode.tensor.tucker`).  A single-precision ``u`` gets its
-    exponentials cast to single.
+    exponentials cast to single precision, as :func:`kronmode.kron.prepare`
+    casts them.
     """
     _check_steps(steps)
     u = np.asarray(u)
-    precision = "single" if u.dtype in (np.float32, np.complex64) else "double"
     timed_exp = nullcontext if _timer is None else _timer.exponentials
     timed_mu = nullcontext if _timer is None else _timer.mode_products
-    # id -> (factor, exponential) for the factors of the latest midpoint; the
-    # factor is held, so its id is not reused by another object meanwhile.
-    known = {}
+    known = None  # the exponentials of the latest midpoint, by factor id
     for s in range(steps):
         now = tuple(factors_of_t(t + (s + 0.5) * tau))
         if len(now) != u.ndim:
             raise ShapeError(f"expected {u.ndim} factors, got {len(now)}")
         with timed_exp():
-            previous, known = known, {}
-            for a in now:
-                if id(a) not in known:
-                    known[id(a)] = previous.get(id(a)) or (
-                        a, _cast(_factor_exp(tau, a), precision))
+            exps, known = _exponentials(tau, now, u.dtype, known)
         with timed_mu():
-            u = tucker(u, [known[id(a)][1] for a in now])
+            u = tucker(u, exps)
     return u
 
 
@@ -389,7 +377,7 @@ def hkmp_solve(k, T=1.0, steps=16, _run=None):
         raise ConfigurationError(f"the Hermite solver needs k >= 2, got {k}")
     run = _Run("double", T, steps) if _run is None else _run
     basis, coeffs0 = _hermite_initial(k, run)
-    coeffs = magnus_midpoint_step(hkmp_factors(basis), _cast(coeffs0, run.precision), 0.0,
+    coeffs = magnus_midpoint_step(hkmp_factors(basis), _cast(coeffs0, run.dtype), 0.0,
                                   run.grid.tau, steps=run.grid.steps, _timer=run)
     return basis, coeffs0, coeffs
 
@@ -549,7 +537,7 @@ def gpe_run(n, T=2.5, tau=0.1, precision="double"):
         raise ConfigurationError("final time and step size must be positive")
     run = _Run(precision, T, max(1, round(T / tau)))
     grids, linear_op, weights = gpe_setup(n)
-    psi = _cast(scale_modes(vortex_pair_state(grids), [np.sqrt(w) for w in weights]), precision)
+    psi = _cast(scale_modes(vortex_pair_state(grids), [np.sqrt(w) for w in weights]), run.dtype)
     with run.exponentials():
         cache = prepare(linear_op, run.grid.tau, psi.dtype)
     norm0 = _two_norm64(psi)

@@ -8,13 +8,14 @@ are 1-based; direction 1 varies fastest in memory.
 Mode products are evaluated as batched matrix-matrix multiplications acting
 directly on the stored array.  No globally transposed copy of the operand is
 formed: direction 1 is a single multiplication against the first unfolding,
-every other direction is a batch of strided multiplications over the trailing
+every other direction is one batched multiplication over the trailing
 indices.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
+from contextvars import ContextVar
 from math import prod
 
 import numpy as np
@@ -40,7 +41,9 @@ class FlopCounter:
         self.macs = 0
 
 
-_active_counters: list[FlopCounter] = []
+# The counters armed in the current context: each thread and each asyncio
+# task counts only its own mode products.
+_active_counters: ContextVar[tuple] = ContextVar("kronmode_flop_counters", default=())
 
 
 @contextmanager
@@ -49,14 +52,15 @@ def count_flops():
 
     One ``m x n_mu`` product applied to a tensor with ``N/n_mu`` fibers adds
     ``m * (N/n_mu) * n_mu`` multiply-adds, so a propagator step with square
-    factors adds ``sum_mu N*n_mu``.
+    factors adds ``sum_mu N*n_mu``.  Only products run in the same context
+    count: another thread's products do not.
     """
     counter = FlopCounter()
-    _active_counters.append(counter)
+    token = _active_counters.set(_active_counters.get() + (counter,))
     try:
         yield counter
     finally:
-        _active_counters.remove(counter)
+        _active_counters.reset(token)
 
 
 def _check_direction(ndim, mu):
@@ -100,7 +104,7 @@ def mu_mode_product(u, mat, mu):
         )
 
     out_dtype = np.result_type(u.dtype, mat.dtype)
-    for counter in _active_counters:
+    for counter in _active_counters.get():
         counter.macs += m * n_mu * (u.size // n_mu)
 
     uf = u if u.flags.f_contiguous else np.asfortranarray(u)
@@ -122,10 +126,9 @@ def mu_mode_product(u, mat, mu):
     n_right = prod(shp[ax + 1 :])
     cube = uf.reshape((n_left, n_mu, n_right), order="F")
     out = np.empty((n_left, m, n_right), dtype=out_dtype, order="F")
-    for r in range(n_right):
-        # cube[:, :, r].T and out[:, :, r].T are C-contiguous views, so each
-        # batch entry is a single direct matrix-matrix multiplication.
-        np.matmul(mat, cube[:, :, r].T, out=out[:, :, r].T)
+    # cube.T and out.T are C-contiguous stacks of n_right matrices, so numpy
+    # runs one direct matrix-matrix multiplication per trailing index.
+    np.matmul(mat, cube.T, out=out.T)
     return out.reshape(out_shape, order="F")
 
 

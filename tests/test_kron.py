@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from kronmode import kron
 from kronmode.errors import ConfigurationError, InvalidInputError, OracleSizeError, ShapeError
+from kronmode.fd import heat_factors
 from kronmode.kron import KroneckerOp, PropagatorCache, assemble_full, matvec, prepare, step
 from kronmode.linalg import matexp
 from kronmode.tensor import count_flops, norm, tucker
@@ -140,6 +142,15 @@ class TestPrepare:
         for exp, a in zip(cache.exps, op.factors):
             assert exp.dtype == dtype
             assert np.array_equal(exp, matexp(0.7 * a).astype(dtype))
+
+    def test_shared_factor_object_is_exponentiated_once(self, monkeypatch):
+        calls = []
+        original = kron.matexp
+        monkeypatch.setattr(kron, "matexp", lambda a: calls.append(a.shape) or original(a))
+        op = heat_factors(16, 2)
+        cache = prepare(op, 0.1)
+        assert calls == [(16, 16)]
+        assert np.array_equal(cache.exps[2], original(0.1 * op.factors[2]))
 
 
 class TestStep:

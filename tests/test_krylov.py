@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -164,6 +166,17 @@ class TestExpmvReference:
            layout=st.sampled_from(["F", "C", "strided"]))
     def test_matches_dense_exponential(self, shape, seed, tau, complex_factors, complex_v,
                                        layout):
+        self._check_against_dense(shape, seed, tau, complex_factors, complex_v, layout)
+
+    @pytest.mark.parametrize("tau", [2.2250738585072014e-308, 1e-310, -1e-308, 5e-324])
+    @pytest.mark.parametrize("complex_factors", [False, True])
+    def test_increment_near_underflow_warns_nothing(self, tau, complex_factors):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            self._check_against_dense((3, 5, 2), 4, tau, complex_factors, True, "strided")
+
+    @staticmethod
+    def _check_against_dense(shape, seed, tau, complex_factors, complex_v, layout):
         rng = np.random.default_rng(seed)
         op = _random_op(rng, shape, complex_factors)
         base = rng.standard_normal(shape[:-1] + (2 * shape[-1],))

@@ -254,6 +254,21 @@ class TestMagnusMidpoint:
                                    steps=2)
         assert got.dtype == np.complex64
 
+    def test_single_precision_exponentials_hold_no_subnormals(self, monkeypatch):
+        applied = []
+        original = problems.tucker
+        monkeypatch.setattr(problems, "tucker",
+                            lambda u, mats: applied.extend(mats) or original(u, mats))
+        lin_op = gpe_setup(32)[1]
+        u = np.ones(lin_op.shape, dtype=np.complex64)
+        magnus_midpoint_step(lambda t: lin_op.factors, u, 0.0, 0.1)
+        tiny = np.finfo(np.float32).tiny
+        assert len(applied) == 3
+        for e in applied:
+            assert e.dtype == np.complex64
+            for part in (e.real, e.imag):
+                assert not ((part != 0) & (np.abs(part) < tiny)).any()
+
     def test_second_order_convergence(self):
         _, _, ref = hkmp_solve(8, T=1.0, steps=512)
         errors = []

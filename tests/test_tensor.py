@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -53,18 +55,34 @@ class TestMuModeProduct:
         want = loop_mu_mode(u, mat, 2)
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
-    @settings(max_examples=60, deadline=None)
-    @given(shape=shapes, mu=st.integers(1, 4), rows=st.integers(1, 4), seed=st.integers(0, 2**31))
-    def test_matches_loop_oracle(self, shape, mu, rows, seed):
+    @settings(max_examples=120, deadline=None)
+    @given(shape=shapes, mu=st.integers(1, 4), rows=st.integers(1, 4), seed=st.integers(0, 2**31),
+           layout=st.sampled_from(["F", "C", "strided", "transposed"]),
+           complex_u=st.booleans(), single=st.booleans())
+    def test_matches_loop_oracle(self, shape, mu, rows, seed, layout, complex_u, single):
         if mu > len(shape):
             mu = 1 + (mu - 1) % len(shape)
         rng = np.random.default_rng(seed)
-        u = rng.standard_normal(shape)
-        mat = rng.standard_normal((rows, shape[mu - 1]))
+        real = np.float32 if single else np.float64
+        base = rng.standard_normal(shape[:-1] + (2 * shape[-1],))
+        if complex_u:
+            base = base + 1j * rng.standard_normal(base.shape)
+        base = base.astype(np.result_type(real, base))
+        u = {"F": np.asfortranarray(base[..., ::2]), "C": np.ascontiguousarray(base[..., ::2]),
+             "strided": base[..., ::2],
+             # a C-ordered array with direction 1 moved last, viewed back
+             "transposed": np.moveaxis(np.ascontiguousarray(np.moveaxis(base[..., ::2], 0, -1)),
+                                       -1, 0)}[layout]
+        mat = rng.standard_normal((rows, shape[mu - 1])).astype(real)
         got = mu_mode_product(u, mat, mu)
         want = loop_mu_mode(u, mat, mu)
-        scale = max(np.abs(want).max(), 1.0)
-        assert np.abs(got - want).max() <= 1e-14 * scale
+        assert got.dtype == np.result_type(u, mat)
+        if single:
+            # rounding of each entry, relative to the bound |mat| x |u|
+            tol = 1e-5 * loop_mu_mode(np.abs(u), np.abs(mat), mu)
+        else:
+            tol = 1e-14 * max(np.abs(want).max(), 1.0)
+        assert (np.abs(got - want) <= tol).all()
 
     @settings(max_examples=40, deadline=None)
     @given(shape=shapes, seed=st.integers(0, 2**31))
@@ -269,3 +287,29 @@ def test_flop_counter_counts_multiply_adds():
     # inactive outside the block
     mu_mode_product(u, mat, 2)
     assert fc.macs == 5 * 3 * 8
+
+
+def test_flop_counters_in_two_threads_count_only_their_own_products():
+    rng = np.random.default_rng(2)
+    cases = [(rng.standard_normal((2, 3, 4)), rng.standard_normal((5, 3)), 2),
+             (rng.standard_normal((6, 7)), rng.standard_normal((2, 6)), 1)]
+    both_armed = threading.Barrier(2, timeout=30)
+    both_done = threading.Barrier(2, timeout=30)
+    macs = [None, None]
+
+    def count(i):
+        u, mat, mu = cases[i]
+        with count_flops() as fc:
+            both_armed.wait()
+            for _ in range(3):
+                mu_mode_product(u, mat, mu)
+            both_done.wait()
+        macs[i] = fc.macs
+
+    threads = [threading.Thread(target=count, args=(i,)) for i in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+    assert macs == [3 * 5 * 3 * 8, 3 * 2 * 6 * 7]
