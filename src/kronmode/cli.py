@@ -32,7 +32,7 @@ CSV_COLUMNS = (
 )
 
 _SWEEPABLE = ("heat", "pipeflow", "schrodinger-ti", "schrodinger-td", "gpe")
-_GRID_BASED = ("heat", "pipeflow", "gpe")  # swept over --n; the others over --k
+_PASSED_ON = ("p", "T", "steps", "tau", "k_ref", "ref_steps")  # sweep options for its problem
 
 
 def _int(text):
@@ -104,12 +104,6 @@ def _add_common(sub):
                      help="report format (default: table)")
     sub.add_argument("--out", dest="out_path", default=None, metavar="PATH",
                      help="write the report to PATH instead of stdout")
-    sub.add_argument("--seed", type=int, default=1234,
-                     help="seed for randomized self-checks (default: 1234)")
-    sub.add_argument("--threads", type=_thread_count, default=None,
-                     help="thread count of both OpenBLAS pools (numpy's and scipy's) "
-                          "for the duration of the run; restored afterwards "
-                          "(default: KRONMODE_THREADS, else left as they are)")
 
 
 def build_parser():
@@ -173,8 +167,14 @@ def build_parser():
     _add_common(sweep)
 
     selftest = sub.add_parser("selftest", help="run the built-in oracle equivalence checks")
-    _add_common(selftest)
+    selftest.add_argument("--seed", type=int, default=1234,
+                          help="seed for the randomized checks (default: 1234)")
 
+    for command in sub.choices.values():
+        command.add_argument("--threads", type=_thread_count, default=None,
+                             help="thread count of both OpenBLAS pools (numpy's and scipy's) "
+                                  "for the duration of the run; restored afterwards "
+                                  "(default: KRONMODE_THREADS, else left as they are)")
     return parser
 
 
@@ -193,11 +193,16 @@ def parse_args(argv):
             except argparse.ArgumentTypeError as exc:
                 parser.error(f"KRONMODE_THREADS: {exc}")
     if cfg.command == "sweep":
-        grid_based = cfg.problem in _GRID_BASED
-        values = cfg.n_list if grid_based else cfg.k_list
-        flag = "--n" if grid_based else "--k"
-        if not values:
-            parser.error(f"sweep over {cfg.problem} needs {flag} with at least one value")
+        own = vars(parser.parse_args([cfg.problem]))  # the options its command takes
+        given = {"n": cfg.n_list, "k": cfg.k_list}
+        given.update((name, getattr(cfg, name)) for name in _PASSED_ON)
+        swept = "n" if "n" in own else "k"  # grid-based problems, else Hermite ones
+        if not given[swept]:
+            parser.error(f"sweep over {cfg.problem} needs --{swept} with at least one value")
+        foreign = ["--" + name.replace("_", "-") for name, value in given.items()
+                   if value not in (None, []) and name not in own]
+        if foreign:
+            parser.error(f"sweep over {cfg.problem} does not take {', '.join(foreign)}")
     return cfg
 
 
@@ -223,18 +228,15 @@ def _execute_single(cfg):
 
 def _execute_sweep(cfg):
     base = parse_args([cfg.problem])  # the problem command's own defaults
-    for name in ("p", "T", "steps", "tau", "k_ref", "ref_steps", "precision", "norm", "seed"):
+    for name in _PASSED_ON + ("precision", "norm"):
         value = getattr(cfg, name)
         if value is not None:
             setattr(base, name, value)
     reports = []
-    grid_based = cfg.problem in _GRID_BASED
-    for value in cfg.n_list if grid_based else cfg.k_list:
+    swept = "n" if cfg.n_list else "k"  # parse_args lets only the problem's own list through
+    for value in getattr(cfg, f"{swept}_list"):
         entry = argparse.Namespace(**vars(base))
-        if grid_based:
-            entry.n = value
-        else:
-            entry.k = value
+        setattr(entry, swept, value)
         reports.append(_execute_single(entry))
     return reports
 

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import prod
+from time import perf_counter
 
 import numpy as np
 
 from .errors import ConfigurationError, InvalidInputError, OracleSizeError, ShapeError
 from .linalg import matexp
-from .tensor import mu_mode_product, tucker
+from .tensor import _active_counters, mu_mode_product, tucker
 
 __all__ = ["KroneckerOp", "PropagatorCache", "assemble_full", "matvec", "prepare", "step"]
 
@@ -163,13 +164,18 @@ def _exponentials(tau, factors, dtype=None, known=None):
     map ``id(a) -> (a, exponential)``; passed back as ``known`` (with the
     same ``tau`` and ``dtype``), it supplies the exponential of every factor
     that is the same object again.  The map holds the factors, so their ids
-    are not reused by other objects while it lives.
+    are not reused by other objects while it lives.  The call's seconds go
+    to ``exp_s`` of :func:`kronmode.tensor.count_flops`.
     """
+    start = perf_counter()
     known = {} if known is None else known
     now = {}
     for a in factors:
         if id(a) not in now:
             now[id(a)] = known.get(id(a)) or (a, _cast(_factor_exp(tau, a), dtype))
+    seconds = perf_counter() - start
+    for counter in _active_counters.get():
+        counter.exp_s += seconds
     return [now[id(a)][1] for a in factors], now
 
 

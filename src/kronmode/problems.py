@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import time
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -44,7 +44,7 @@ from .hermite import (
 from .kron import KroneckerOp, _cast, _check_steps, _exponentials, prepare, step
 from .krylov import _expmv_reference
 from .tensor import norm as tensor_norm
-from .tensor import scale_modes, tucker
+from .tensor import count_flops, scale_modes, tucker
 
 __all__ = [
     "RunReport",
@@ -114,13 +114,13 @@ class RunReport:
 
 
 class _Run:
-    """The run path of every driver: precision, time grid, phase timings and report.
+    """The run path of every driver: precision, time grid, timing and report.
 
     A driver creates it once its own input is valid; the constructor
-    validates the precision and the time grid, then starts the clock.  The
-    wall time splits into matrix exponentials, mode products (spectral
-    transforms included) and the rest.  :meth:`report` stops the clock
-    before it computes the error, so the reference solve is not timed.
+    validates the precision and the time grid.  The driver's work runs in
+    :meth:`timed`, whose wall time splits into matrix exponentials, mode
+    products (spectral transforms included) and the rest.  :meth:`report`
+    runs after it, so the reference solve is not timed.
     """
 
     def __init__(self, precision, T, steps):
@@ -129,44 +129,31 @@ class _Run:
         self.precision = precision
         self.dtype = np.float32 if precision == "single" else np.float64
         self.grid = TimeGrid(0.0, T, steps)
-        self.exp = self.mumode = 0.0
-        self._start = time.perf_counter()
 
     @contextmanager
-    def exponentials(self):
-        t0 = time.perf_counter()
-        try:
+    def timed(self):
+        """Time the block and tally its kernels (see :func:`kronmode.tensor.count_flops`)."""
+        start = time.perf_counter()
+        with count_flops() as self.tally:
             yield
-        finally:
-            self.exp += time.perf_counter() - t0
-
-    @contextmanager
-    def mode_products(self):
-        t0 = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.mumode += time.perf_counter() - t0
+        self.total = time.perf_counter() - start
 
     def exact(self, op, u0):
         """``u0``, cast to the run's precision, advanced over the grid by ``exp(t*op)``."""
         u = _cast(u0, self.dtype)
-        with self.exponentials():
-            cache = prepare(op, self.grid.tau, u.dtype)
-        with self.mode_products():
-            return step(cache, u, steps=self.grid.steps)
+        return step(prepare(op, self.grid.tau, u.dtype), u, steps=self.grid.steps)
 
     def report(self, problem, u, error, norm_kind, **fields):
-        """Stop the clock and report ``error(u)`` (nan for ``error=None``).
+        """Report ``error(u)`` (nan for ``error=None``) with the timed block's split.
 
         ``fields`` sets ``n``, ``k`` and ``p``.
         """
-        total = time.perf_counter() - self._start
+        exp_s, mode_s = self.tally.exp_s, self.tally.mode_s
         return RunReport(
             problem=problem, shape=u.shape, steps=self.grid.steps, tau=self.grid.tau,
             error=float("nan") if error is None else error(u), norm_kind=norm_kind,
-            time_exp_s=self.exp, time_mumode_s=self.mumode,
-            time_other_s=max(total - self.exp - self.mumode, 0.0), total_s=total,
+            time_exp_s=exp_s, time_mumode_s=mode_s,
+            time_other_s=max(self.total - exp_s - mode_s, 0.0), total_s=self.total,
             precision=self.precision, **fields,
         )
 
@@ -197,11 +184,12 @@ def heat3d_run(n, p=2, T=1.0, steps=1, norm_kind="max", precision="double"):
     if n < 8:
         raise ConfigurationError(f"the heat run needs n >= 8, got {n}")
     run = _Run(precision, T, steps)
-    cos = np.cos(uniform_periodic_grid(0.0, 2 * np.pi, n).points)
-    u0 = np.asfortranarray(
-        cos[:, None, None] + cos[None, :, None] + cos[None, None, :]
-    )
-    u = run.exact(heat_factors(n, p), u0)
+    with run.timed():
+        cos = np.cos(uniform_periodic_grid(0.0, 2 * np.pi, n).points)
+        u0 = np.asfortranarray(
+            cos[:, None, None] + cos[None, :, None] + cos[None, None, :]
+        )
+        u = run.exact(heat_factors(n, p), u0)
     return run.report(
         "heat", u, lambda u: relative_error(u.astype(np.float64), np.exp(-T) * u0, norm_kind),
         norm_kind, n=n, p=float(p),
@@ -219,22 +207,23 @@ def pipeflow_run(n, T=4.0, steps=1, norm_kind="max", precision="double"):
     ``expm_multiply``, which sees the generator only through its
     matrix-free action (see :mod:`kronmode.krylov`), accurate to about
     1e-14; so the reported error is that of the integrator.  The reference
-    runs after the clock stops: it is outside ``total_s`` and the phase
+    runs after the timed block: it is outside ``total_s`` and the phase
     timings, but inside the wall time of a CLI call, where it takes almost
     all of it.
     """
     if n < 16:
         raise ConfigurationError(f"the pipe flow run needs n >= 16, got {n}")
     run = _Run(precision, T, steps)
-    rho_grid, z_grid = pipeflow_grids(n)
-    rho0 = (0.1 + 5.0) / 2.0
-    z0 = 3.0 / 2.0
-    c0 = np.asfortranarray(
-        np.exp(-8.0 * (rho_grid.points - rho0) ** 2)[:, None]
-        * np.exp(-8.0 * (z_grid.points - z0) ** 2)[None, :]
-    )
-    op = pipeflow_factors(n)
-    c = run.exact(op, c0)
+    with run.timed():
+        rho_grid, z_grid = pipeflow_grids(n)
+        rho0 = (0.1 + 5.0) / 2.0
+        z0 = 3.0 / 2.0
+        c0 = np.asfortranarray(
+            np.exp(-8.0 * (rho_grid.points - rho0) ** 2)[:, None]
+            * np.exp(-8.0 * (z_grid.points - z0) ** 2)[None, :]
+        )
+        op = pipeflow_factors(n)
+        c = run.exact(op, c0)
     return run.report(
         "pipeflow", c,
         lambda c: relative_error(c.astype(np.float64), _expmv_reference(op, c0, T), norm_kind),
@@ -268,12 +257,10 @@ def ti_potentials():
     )
 
 
-def _hermite_initial(k, run):
+def _hermite_initial(k):
     """Basis and initial coefficients of both Schrodinger problems, in double."""
     basis = hermite_basis(k)
-    with run.mode_products():
-        coeffs0 = forward_transform((basis,) * 3, schrodinger_initial_state((basis.nodes,) * 3))
-    return basis, coeffs0
+    return basis, forward_transform((basis,) * 3, schrodinger_initial_state((basis.nodes,) * 3))
 
 
 def hkp_solve(k, T=1.0, potentials=None, _run=None):
@@ -285,7 +272,7 @@ def hkp_solve(k, T=1.0, potentials=None, _run=None):
     if k < 2:
         raise ConfigurationError(f"the Hermite solver needs k >= 2, got {k}")
     run = _Run("double", T, 1) if _run is None else _run
-    basis, coeffs0 = _hermite_initial(k, run)
+    basis, coeffs0 = _hermite_initial(k)
     if potentials is None:
         potentials = ti_potentials()
     op = KroneckerOp(tuple(hamiltonian_factor(basis, v) for v in potentials))
@@ -306,8 +293,8 @@ def hkp_run(k, T=1.0, k_ref=120, norm_kind="max", precision="double"):
     if k_ref is not None and k_ref < k:
         raise ConfigurationError("the reference resolution must be at least k")
     run = _Run(precision, T, 1)
-    basis, _, coeffs = hkp_solve(k, T, _run=run)
-    with run.mode_products():
+    with run.timed():
+        basis, _, coeffs = hkp_solve(k, T, _run=run)
         values = inverse_transform((basis,) * 3, coeffs.astype(np.complex128))
 
     def error(values):
@@ -318,7 +305,7 @@ def hkp_run(k, T=1.0, k_ref=120, norm_kind="max", precision="double"):
     return run.report("schrodinger-ti", values, None if k_ref is None else error, norm_kind, k=k)
 
 
-def magnus_midpoint_step(factors_of_t, u, t, tau, steps=1, _timer=None):
+def magnus_midpoint_step(factors_of_t, u, t, tau, steps=1):
     """Exponential midpoint rule for a time-dependent Kronecker-sum generator.
 
     Advances ``u' = M(t) u`` from t to ``t + steps*tau``, each step with the
@@ -329,28 +316,25 @@ def magnus_midpoint_step(factors_of_t, u, t, tau, steps=1, _timer=None):
 
     Factor reuse: a factor is exponentiated only when ``factors_of_t``
     returns an array object that it did not return at the previous midpoint
-    of the call, and then once even if it serves several directions.  So
-    static factors returned as the same objects (as by
-    :func:`hkmp_factors`) are exponentiated, and checked for shape and
-    finiteness, once per call.  An exactly diagonal factor gets the vector
-    of its exponential's diagonal and is applied as a scaling (see
-    :func:`kronmode.tensor.tucker`).  A single-precision ``u`` gets its
-    exponentials cast to single precision, as :func:`kronmode.kron.prepare`
-    casts them.
+    of the call, and then once even if it serves several directions, so
+    static factors returned as the same objects (as by :func:`hkmp_factors`)
+    are exponentiated, and checked for shape and finiteness, once per call.
+    An exactly diagonal factor gets the vector of its exponential's diagonal
+    and is applied as a scaling (see :func:`kronmode.tensor.tucker`).  A
+    single-precision ``u`` gets its exponentials cast to single precision,
+    as :func:`kronmode.kron.prepare` casts them.  A counter armed by
+    :func:`kronmode.tensor.count_flops` tallies the seconds of the
+    exponentials (``exp_s``) and of the products (``mode_s``).
     """
     _check_steps(steps)
     u = np.asarray(u)
-    timed_exp = nullcontext if _timer is None else _timer.exponentials
-    timed_mu = nullcontext if _timer is None else _timer.mode_products
     known = None  # the exponentials of the latest midpoint, by factor id
     for s in range(steps):
         now = tuple(factors_of_t(t + (s + 0.5) * tau))
         if len(now) != u.ndim:
             raise ShapeError(f"expected {u.ndim} factors, got {len(now)}")
-        with timed_exp():
-            exps, known = _exponentials(tau, now, u.dtype, known)
-        with timed_mu():
-            u = tucker(u, exps)
+        exps, known = _exponentials(tau, now, u.dtype, known)
+        u = tucker(u, exps)
     return u
 
 
@@ -376,9 +360,9 @@ def hkmp_solve(k, T=1.0, steps=16, _run=None):
     if k < 2:
         raise ConfigurationError(f"the Hermite solver needs k >= 2, got {k}")
     run = _Run("double", T, steps) if _run is None else _run
-    basis, coeffs0 = _hermite_initial(k, run)
+    basis, coeffs0 = _hermite_initial(k)
     coeffs = magnus_midpoint_step(hkmp_factors(basis), _cast(coeffs0, run.dtype), 0.0,
-                                  run.grid.tau, steps=run.grid.steps, _timer=run)
+                                  run.grid.tau, steps=run.grid.steps)
     return basis, coeffs0, coeffs
 
 
@@ -395,9 +379,9 @@ def hkmp_run(k, T=1.0, steps=32, ref_steps=2048, norm_kind="max", precision="dou
     if ref_steps is not None:
         _check_steps(ref_steps)
     run = _Run(precision, T, steps)
-    basis, _, coeffs = hkmp_solve(k, T, steps, _run=run)
-    bases = (basis,) * 3
-    with run.mode_products():
+    with run.timed():
+        basis, _, coeffs = hkmp_solve(k, T, steps, _run=run)
+        bases = (basis,) * 3
         values = inverse_transform(bases, coeffs.astype(np.complex128))
 
     def error(values):
@@ -493,7 +477,7 @@ class _PhaseRotation:
         psi *= self.factor
 
 
-def gpe_strang_step(linear_cache, weights, psi, tau, steps=1, _timer=None):
+def gpe_strang_step(linear_cache, weights, psi, tau, steps=1):
     """``steps`` Strang steps in the weighted variables.
 
     Each step is a half step of the exact pointwise nonlinear flow, a full
@@ -513,10 +497,8 @@ def gpe_strang_step(linear_cache, weights, psi, tau, steps=1, _timer=None):
     # Every array rotated in place below is this copy or a fresh output of step.
     psi = np.array(psi, dtype=dtype, order="F")
     rotate(psi, 0.5 * tau)
-    timed = nullcontext if _timer is None else _timer.mode_products
     for s in range(steps):
-        with timed():
-            psi = step(linear_cache, psi)
+        psi = step(linear_cache, psi)
         rotate(psi, tau if s < steps - 1 else 0.5 * tau)
     return psi
 
@@ -536,12 +518,13 @@ def gpe_run(n, T=2.5, tau=0.1, precision="double"):
     if tau <= 0 or T <= 0:
         raise ConfigurationError("final time and step size must be positive")
     run = _Run(precision, T, max(1, round(T / tau)))
-    grids, linear_op, weights = gpe_setup(n)
-    psi = _cast(scale_modes(vortex_pair_state(grids), [np.sqrt(w) for w in weights]), run.dtype)
-    with run.exponentials():
+    with run.timed():
+        grids, linear_op, weights = gpe_setup(n)
+        psi = _cast(scale_modes(vortex_pair_state(grids), [np.sqrt(w) for w in weights]),
+                    run.dtype)
         cache = prepare(linear_op, run.grid.tau, psi.dtype)
-    norm0 = _two_norm64(psi)
-    psi = gpe_strang_step(cache, weights, psi, run.grid.tau, steps=run.grid.steps, _timer=run)
+        norm0 = _two_norm64(psi)
+        psi = gpe_strang_step(cache, weights, psi, run.grid.tau, steps=run.grid.steps)
     return run.report("gpe", psi, lambda psi: abs(_two_norm64(psi) - norm0) / norm0,
                       "weighted_two", n=n)
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from contextvars import ContextVar
 from math import prod
+from time import perf_counter
 
 import numpy as np
 
@@ -33,27 +34,30 @@ __all__ = [
 
 
 class FlopCounter:
-    """Multiply-add tally of the mode products executed while armed."""
+    """Multiply-adds and kernel seconds tallied while armed (see :func:`count_flops`)."""
 
-    __slots__ = ("macs",)
+    __slots__ = ("macs", "mode_s", "exp_s")
 
     def __init__(self):
         self.macs = 0
+        self.mode_s = self.exp_s = 0.0
 
 
 # The counters armed in the current context: each thread and each asyncio
-# task counts only its own mode products.
+# task counts only its own kernels.
 _active_counters: ContextVar[tuple] = ContextVar("kronmode_flop_counters", default=())
 
 
 @contextmanager
 def count_flops():
-    """Arm a :class:`FlopCounter` for mode products run inside the block.
+    """Arm a :class:`FlopCounter` for the kernels run inside the block.
 
-    One ``m x n_mu`` product applied to a tensor with ``N/n_mu`` fibers adds
-    ``m * (N/n_mu) * n_mu`` multiply-adds, so a propagator step with square
-    factors adds ``sum_mu N*n_mu``.  Only products run in the same context
-    count: another thread's products do not.
+    ``mode_s`` sums the seconds spent in :func:`tucker` and ``exp_s`` those
+    in the factor exponentials (``kronmode.kron._exponentials``).  One
+    ``m x n_mu`` product applied to a tensor with ``N/n_mu`` fibers adds
+    ``m * (N/n_mu) * n_mu`` to ``macs``, so a propagator step with square
+    factors adds ``sum_mu N*n_mu``.  Only kernels run in the same context
+    count: another thread's do not.
     """
     counter = FlopCounter()
     token = _active_counters.set(_active_counters.get() + (counter,))
@@ -139,12 +143,13 @@ def tucker(u, mats):
     the diagonal matrix with that diagonal: the dense entries go through
     :func:`mu_mode_product` first, in ascending direction order, and the
     diagonal ones then scale the result in place, all in one multiply
-    (``u`` itself is copied first, never written).  Scalings are not mode
-    products, so :func:`count_flops` does not count them.  Distinct
-    directions commute, so the fixed order is a reproducibility choice, not
-    a mathematical one.  The result has dtype ``np.result_type`` of ``u``
-    and the entries.
+    (``u`` itself is copied first, never written).  :func:`count_flops`
+    counts no ``macs`` for scalings, but the whole call in ``mode_s``.
+    Distinct directions commute, so the fixed order is a reproducibility
+    choice, not a mathematical one.  The result has dtype
+    ``np.result_type`` of ``u`` and the entries.
     """
+    start = perf_counter()
     u = np.asarray(u)
     if len(mats) != u.ndim:
         raise ShapeError(f"expected {u.ndim} matrix slots, got {len(mats)}")
@@ -162,17 +167,19 @@ def tucker(u, mats):
         if mat is not None and mat.ndim == 2:
             out = mu_mode_product(out, mat, mu)
     diagonals = [(ax, v) for ax, v in enumerate(mats) if v is not None and v.ndim == 1]
-    if not diagonals:
-        return out
-    dtype = np.result_type(out, *(v for _, v in diagonals))
-    if out is u or out.dtype != dtype:
-        out = np.array(out, dtype=dtype, order="F")
-    # One multiply by the outer product of the diagonals: built in Fortran
-    # order, like out, so that numpy runs it in long contiguous loops.
-    scale = 1
-    for ax, v in diagonals:
-        scale = np.multiply(scale, _along(ax, v, u.ndim), order="F")
-    out *= scale
+    if diagonals:
+        dtype = np.result_type(out, *(v for _, v in diagonals))
+        if out is u or out.dtype != dtype:
+            out = np.array(out, dtype=dtype, order="F")
+        # One multiply by the outer product of the diagonals: built in Fortran
+        # order, like out, so that numpy runs it in long contiguous loops.
+        scale = 1
+        for ax, v in diagonals:
+            scale = np.multiply(scale, _along(ax, v, u.ndim), order="F")
+        out *= scale
+    seconds = perf_counter() - start
+    for counter in _active_counters.get():
+        counter.mode_s += seconds
     return out
 
 

@@ -128,6 +128,37 @@ class TestParse:
             parse_args(["sweep", "--problem", "heat"])
         assert info.value.code == 2
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["--problem", "gpe", "--n", "16", "--steps", "4"], "--steps"),
+        (["--problem", "gpe", "--n", "16", "--p", "4"], "--p"),
+        (["--problem", "gpe", "--n", "16", "--k-ref", "3"], "--k-ref"),
+        (["--problem", "schrodinger-ti", "--k", "8", "--tau", "0.1"], "--tau"),
+        (["--problem", "schrodinger-ti", "--k", "8", "--ref-steps", "4"], "--ref-steps"),
+        (["--problem", "heat", "--n", "16", "--k", "8,9"], "--k"),
+        (["--problem", "schrodinger-td", "--k", "8", "--n", "16"], "--n"),
+    ])
+    def test_sweep_flag_its_problem_does_not_take_exits_2(self, argv, flag, capsys):
+        with pytest.raises(SystemExit) as info:
+            parse_args(["sweep"] + argv)
+        assert info.value.code == 2
+        assert f"does not take {flag}" in capsys.readouterr().err
+
+    def test_sweep_passes_norm_to_gpe(self):
+        assert parse_args(["sweep", "--problem", "gpe", "--n", "16", "--norm", "two"]).norm == "two"
+
+    @pytest.mark.parametrize("argv", [
+        ["selftest", "--out", "report.csv"],
+        ["selftest", "--output", "csv"],
+        ["selftest", "--precision", "single"],
+        ["selftest", "--norm", "two"],
+        ["heat", "--seed", "1"],
+        ["sweep", "--problem", "heat", "--n", "16", "--seed", "1"],
+    ])
+    def test_flag_the_command_does_not_read_exits_2(self, argv):
+        with pytest.raises(SystemExit) as info:
+            parse_args(argv)
+        assert info.value.code == 2
+
     def test_threads_env_fallback(self, monkeypatch):
         monkeypatch.setenv("KRONMODE_THREADS", "1")
         assert parse_args(["heat"]).threads == 1

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -110,6 +111,18 @@ class TestHeat:
         assert set(data) >= {"problem", "steps", "tau", "error", "norm_kind",
                              "time_exp_s", "time_mumode_s", "time_other_s", "total_s"}
 
+    def test_exponential_seconds_count_as_exponential_time(self, monkeypatch):
+        factor_exp = kron._factor_exp
+
+        def slow_factor_exp(tau, a):
+            time.sleep(0.02)
+            return factor_exp(tau, a)
+
+        monkeypatch.setattr(kron, "_factor_exp", slow_factor_exp)
+        report = heat3d_run(8)
+        assert report.time_exp_s >= 0.02
+        assert report.time_mumode_s < 0.02
+
 
 class TestPipeflow:
     def test_error_measures_the_integrator(self):
@@ -147,6 +160,16 @@ class TestPipeflow:
         assert np.isfinite(c).all()
         assert c.max() <= c0.max()
         assert c.min() >= -0.1 * c0.max()
+
+    def test_reference_solve_is_not_timed(self, monkeypatch):
+        reference = problems._expmv_reference
+
+        def slow_reference(*args):
+            time.sleep(0.2)
+            return reference(*args)
+
+        monkeypatch.setattr(problems, "_expmv_reference", slow_reference)
+        assert pipeflow_run(16).total_s < 0.2
 
     def test_minimum_size(self):
         with pytest.raises(ConfigurationError):

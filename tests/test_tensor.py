@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kronmode.errors import ConfigurationError, InvalidDirectionError, ShapeError
+from kronmode.kron import _exponentials
 from kronmode.tensor import count_flops, mu_mode_product, norm, scale_modes, tucker
 
 
@@ -291,20 +292,21 @@ def test_flop_counter_counts_multiply_adds():
 
 def test_flop_counters_in_two_threads_count_only_their_own_products():
     rng = np.random.default_rng(2)
-    cases = [(rng.standard_normal((2, 3, 4)), rng.standard_normal((5, 3)), 2),
-             (rng.standard_normal((6, 7)), rng.standard_normal((2, 6)), 1)]
+    u, mat = rng.standard_normal((2, 3, 4)), rng.standard_normal((5, 3))
+    factor = rng.standard_normal((6, 6))
+    # One thread runs only mode products, the other only exponentials.
+    kernels = [lambda: tucker(u, [None, mat, None]), lambda: _exponentials(0.1, [factor])]
     both_armed = threading.Barrier(2, timeout=30)
     both_done = threading.Barrier(2, timeout=30)
-    macs = [None, None]
+    counters = [None, None]
 
     def count(i):
-        u, mat, mu = cases[i]
         with count_flops() as fc:
             both_armed.wait()
             for _ in range(3):
-                mu_mode_product(u, mat, mu)
+                kernels[i]()
             both_done.wait()
-        macs[i] = fc.macs
+        counters[i] = fc
 
     threads = [threading.Thread(target=count, args=(i,)) for i in range(2)]
     for thread in threads:
@@ -312,4 +314,8 @@ def test_flop_counters_in_two_threads_count_only_their_own_products():
     for thread in threads:
         thread.join(timeout=60)
         assert not thread.is_alive()
-    assert macs == [3 * 5 * 3 * 8, 3 * 2 * 6 * 7]
+    products, exponentials = counters
+    assert (products.macs, products.exp_s) == (3 * 5 * 3 * 8, 0.0)
+    assert products.mode_s > 0
+    assert (exponentials.macs, exponentials.mode_s) == (0, 0.0)
+    assert exponentials.exp_s > 0
