@@ -5,11 +5,15 @@ linear position ``i_1 + n_1*i_2 + n_1*n_2*i_3 + ...`` (0-based), i.e. the
 column-major vectorization ``ravel(order="F")``.  Direction indices ``mu``
 are 1-based; direction 1 varies fastest in memory.
 
-Mode products are evaluated as batched matrix-matrix multiplications acting
-directly on the stored array.  No globally transposed copy of the operand is
-formed: direction 1 is a single multiplication against the first unfolding,
-every other direction is one batched multiplication over the trailing
-indices.
+Mode products are evaluated as matrix-matrix multiplications acting directly
+on the stored array; no globally transposed copy of the operand is formed.
+:func:`tucker` applies each dense direction while its axis is the fastest in
+memory, as one tall ``(m x n_mu) . (n_mu x N/n_mu)`` multiplication whose
+C-ordered result is the tensor cycled so that the next direction is fastest;
+after all d directions the layout is Fortran again.  A single
+:func:`mu_mode_product` on a Fortran-ordered tensor is one multiplication
+against the first unfolding for direction 1 and one batched multiplication
+over the trailing indices for every other direction.
 """
 
 from __future__ import annotations
@@ -92,6 +96,14 @@ def mu_mode_product(u, mat, mu):
         Fortran-ordered tensor of shape ``(n_1, ..., m, ..., n_d)`` with
         entries ``S[..., i, ...] = sum_j mat[i, j] * u[..., j, ...]``.
         Real and complex operands mix by the usual numpy promotion rules.
+        A direction of extent 0 gives the all-zero product.
+
+    Notes
+    -----
+    ``u`` is read without a copy in Fortran order and in the layout
+    :func:`tucker` passes: ``mu`` the last direction, its axis the fastest,
+    the other axes in Fortran order (one multiplication).  Any other layout
+    is copied to Fortran order first.
     """
     u = np.asarray(u)
     mat = np.asarray(mat)
@@ -108,15 +120,28 @@ def mu_mode_product(u, mat, mu):
         )
 
     out_dtype = np.result_type(u.dtype, mat.dtype)
+    out_shape = shp[:ax] + (m,) + shp[ax + 1 :]
+    macs = m * n_mu * prod(shp[:ax] + shp[ax + 1 :])
     for counter in _active_counters.get():
-        counter.macs += m * n_mu * (u.size // n_mu)
+        counter.macs += macs
+    if macs == 0:
+        # An empty sum (n_mu == 0) or an empty result.
+        return np.zeros(out_shape, dtype=out_dtype, order="F")
+    if mat.dtype != out_dtype:
+        mat = mat.astype(out_dtype)
+
+    if ax == u.ndim - 1 and not u.flags.f_contiguous:
+        front = u.transpose((ax, *range(ax)))
+        if front.flags.f_contiguous:
+            # Last axis fastest, the others F-ordered (the layout tucker
+            # passes): one multiplication against the F-ordered (n_mu, N/n_mu)
+            # unfolding, whose C-ordered product is the F-ordered result.
+            unfold = front.reshape((n_mu, -1), order="F").astype(out_dtype, copy=False)
+            return np.matmul(mat, unfold).T.reshape(out_shape, order="F")
 
     uf = u if u.flags.f_contiguous else np.asfortranarray(u)
     if uf.dtype != out_dtype:
         uf = uf.astype(out_dtype, order="F")
-    if mat.dtype != out_dtype:
-        mat = mat.astype(out_dtype)
-    out_shape = shp[:ax] + (m,) + shp[ax + 1 :]
 
     if ax == 0:
         # One multiplication against the mode-1 unfolding.  The C-ordered
@@ -146,8 +171,15 @@ def tucker(u, mats):
     (``u`` itself is copied first, never written).  :func:`count_flops`
     counts no ``macs`` for scalings, but the whole call in ``mode_s``.
     Distinct directions commute, so the fixed order is a reproducibility
-    choice, not a mathematical one.  The result has dtype
-    ``np.result_type`` of ``u`` and the entries.
+    choice, not a mathematical one.  The result is Fortran-ordered and has
+    dtype ``np.result_type`` of ``u`` and the entries.
+
+    While the dense entries are those of directions 1, 2, ..., each one is
+    applied while its axis is the fastest in memory, as direction d of the
+    tensor with its axes cycled; each product's output has the next
+    direction fastest, and after d products the layout is Fortran again.
+    Dense entries after a skipped or diagonal slot are applied in their own
+    direction, and a layout left cycled is copied back to Fortran order.
     """
     start = perf_counter()
     u = np.asarray(u)
@@ -162,10 +194,19 @@ def tucker(u, mats):
             raise ShapeError(
                 f"direction {mu}: matrix of shape {mat.shape} does not act on extent {n_mu}"
             )
-    out = u
+    # out is F-ordered with its axes cycled left `cycled` times.
+    cycle = (*range(1, u.ndim), 0)
+    out, cycled = u, 0
     for mu, mat in enumerate(mats, start=1):
-        if mat is not None and mat.ndim == 2:
-            out = mu_mode_product(out, mat, mu)
+        if mat is None or mat.ndim != 2:
+            continue
+        if cycled == mu - 1:
+            out = mu_mode_product(out.transpose(cycle), mat, u.ndim)
+            cycled += 1
+        else:
+            out = mu_mode_product(_uncycle(out, cycled), mat, mu)
+            cycled = 0
+    out = np.asarray(_uncycle(out, cycled), order="F")
     diagonals = [(ax, v) for ax, v in enumerate(mats) if v is not None and v.ndim == 1]
     if diagonals:
         dtype = np.result_type(out, *(v for _, v in diagonals))
@@ -181,6 +222,14 @@ def tucker(u, mats):
     for counter in _active_counters.get():
         counter.mode_s += seconds
     return out
+
+
+def _uncycle(u, cycled):
+    """``u``, whose axes are cycled left ``cycled`` times, back in direction order (a view)."""
+    if not cycled:
+        return u
+    first = u.ndim - cycled
+    return u.transpose((*range(first, u.ndim), *range(first)))
 
 
 def _along(ax, v, ndim):

@@ -1,4 +1,5 @@
 import threading
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -58,7 +59,7 @@ class TestMuModeProduct:
 
     @settings(max_examples=120, deadline=None)
     @given(shape=shapes, mu=st.integers(1, 4), rows=st.integers(1, 4), seed=st.integers(0, 2**31),
-           layout=st.sampled_from(["F", "C", "strided", "transposed"]),
+           layout=st.sampled_from(["F", "C", "strided", "transposed", "rotated"]),
            complex_u=st.booleans(), single=st.booleans())
     def test_matches_loop_oracle(self, shape, mu, rows, seed, layout, complex_u, single):
         if mu > len(shape):
@@ -73,11 +74,16 @@ class TestMuModeProduct:
              "strided": base[..., ::2],
              # a C-ordered array with direction 1 moved last, viewed back
              "transposed": np.moveaxis(np.ascontiguousarray(np.moveaxis(base[..., ::2], 0, -1)),
-                                       -1, 0)}[layout]
+                                       -1, 0),
+             # an F-ordered array with the last direction moved first, viewed back:
+             # the layout tucker passes
+             "rotated": np.moveaxis(np.asfortranarray(np.moveaxis(base[..., ::2], -1, 0)),
+                                    0, -1)}[layout]
         mat = rng.standard_normal((rows, shape[mu - 1])).astype(real)
         got = mu_mode_product(u, mat, mu)
         want = loop_mu_mode(u, mat, mu)
         assert got.dtype == np.result_type(u, mat)
+        assert got.flags.f_contiguous
         if single:
             # rounding of each entry, relative to the bound |mat| x |u|
             tol = 1e-5 * loop_mu_mode(np.abs(u), np.abs(mat), mu)
@@ -116,6 +122,18 @@ class TestMuModeProduct:
         u = rng.standard_normal((4, 4)).astype(np.float32)
         mat = rng.standard_normal((4, 4)).astype(np.float32)
         assert mu_mode_product(u, mat, 1).dtype == np.float32
+
+    @pytest.mark.parametrize("armed", [False, True])
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (3, 4, 0), (0, 2, 3), (2, 0, 3)])
+    def test_zero_extent_gives_the_zero_product_and_counts_nothing(self, shape, armed):
+        for mu in range(1, len(shape) + 1):
+            out_shape = shape[: mu - 1] + (2,) + shape[mu:]
+            with count_flops() if armed else nullcontext() as fc:
+                got = mu_mode_product(np.zeros(shape), np.ones((2, shape[mu - 1])), mu)
+            assert got.shape == out_shape and got.flags.f_contiguous
+            assert np.array_equal(got, np.zeros(out_shape))
+            if armed:
+                assert fc.macs == 0
 
     def test_dimension_mismatch(self):
         with pytest.raises(ShapeError):
@@ -157,7 +175,9 @@ class TestTucker:
         rng = np.random.default_rng(seed)
         u = rng.standard_normal(shape)
         mats = [rng.standard_normal((n, n)) for n in shape]
-        got = tucker(u, mats).ravel(order="F")
+        got = tucker(u, mats)
+        assert got.flags.f_contiguous
+        got = got.ravel(order="F")
         want = kron_vec_apply(u, mats)
         denom = np.linalg.norm(want) or 1.0
         assert np.linalg.norm(got - want) / denom <= 1e-13
@@ -199,6 +219,7 @@ class TestTucker:
         want = tucker(u, [np.diag(m) if m is not None and m.ndim == 1 else m for m in mats])
 
         assert np.array_equal(u, before)
+        assert got.flags.f_contiguous
         assert got.dtype == np.result_type(u, *(m for m in mats if m is not None))
         assert got.shape == want.shape
         # rounding of the dense products, relative to the bound |mats| x |u|
