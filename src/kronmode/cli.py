@@ -122,7 +122,7 @@ def build_parser():
     heat.add_argument("--steps", type=_positive_int, default=1, help="number of time steps")
     _add_common(heat)
 
-    pipe = sub.add_parser("pipeflow", help="2D pipe diffusion-advection vs expm_multiply reference")
+    pipe = sub.add_parser("pipeflow", help="2D pipe diffusion-advection vs Taylor-series reference")
     pipe.add_argument("--n", type=_positive_int, default=32, help="grid points per direction")
     pipe.add_argument("--T", type=_positive_float, default=4.0, help="final time")
     pipe.add_argument("--steps", type=_positive_int, default=1, help="number of time steps")

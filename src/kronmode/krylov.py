@@ -3,11 +3,14 @@
 Independent baselines for cross-checking the exact mode-wise propagator: the
 operator enters only through :func:`kronmode.kron.matvec`, never through its
 one-dimensional exponentials.  :func:`arnoldi_expmv` is plain Arnoldi with
-restarts; ``_expmv_reference`` runs scipy's ``expm_multiply`` (Al-Mohy and
-Higham 2011) on the same action and is the pipe-flow driver's reference.
+restarts; ``_expmv_reference``, a truncated Taylor series with scaling
+(Al-Mohy and Higham 2011) on the same action, is the pipe-flow driver's
+reference.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -141,53 +144,47 @@ def _project(basis, hess, m, tau, beta):
     return basis[:, :m] @ (beta * small[:, 0])
 
 
+# Al-Mohy and Higham (2011), theta_m for double precision: the m-term Taylor
+# polynomial of exp(X) has backward error at most 2^-53 while |X|_1 <= theta_m.
+_THETA = {
+    1: 2.29e-16, 2: 2.58e-8, 3: 1.39e-5, 4: 3.40e-4, 5: 2.40e-3, 6: 9.07e-3, 7: 2.38e-2,
+    8: 5.00e-2, 9: 8.96e-2, 10: 1.44e-1, 11: 2.14e-1, 12: 3.00e-1, 13: 4.00e-1, 14: 5.14e-1,
+    15: 6.41e-1, 16: 7.81e-1, 17: 9.31e-1, 18: 1.09, 19: 1.26, 20: 1.44, 21: 1.62, 22: 1.82,
+    23: 2.01, 24: 2.22, 25: 2.43, 26: 2.64, 27: 2.86, 28: 3.08, 29: 3.31, 30: 3.54, 35: 4.7,
+    40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9,
+}
+
+
 def _expmv_reference(op, v, tau):
-    """``exp(tau*M) v`` by scipy's ``expm_multiply``, to double-precision accuracy.
+    """``exp(tau*M) v`` by a truncated Taylor series with scaling, to double precision.
 
-    ``M`` acts through :func:`kronmode.kron.matvec` (see
-    :func:`_linear_operator`).  The trace is passed exactly, so no matvecs
-    go to estimating it.  The 1-norm estimate of ``expm_multiply`` draws
-    its starting vectors from numpy's legacy global generator, and another
-    draw can pick another Taylor degree and move the last bits of the
-    result; the generator is seeded for the call and the caller's state
-    restored after it, so the result is reproducible.
-
-    When ``|tau|`` times the bound ``sum_mu |A_mu|_1`` of ``|M|_1`` is below
-    the double unit roundoff, ``v + tau*M v`` is the exponential action to
-    double rounding and is returned without scipy, whose norm estimates
-    overflow for ``|tau|`` near the underflow threshold.
+    Al-Mohy and Higham (2011), Algorithm 3.2: ``s`` stages of the degree-``m``
+    Taylor polynomial of ``exp(tau/s * (M - mu I))``, each stopped early once
+    two consecutive terms are below the unit roundoff of the partial sum.
+    Each factor is shifted by its mean diagonal entry, so ``mu`` is the mean
+    eigenvalue of ``M``.  The Kronecker sum bounds the 1-norm exactly by
+    ``|tau| * sum_mu |A_mu - mu_mu I|_1``, and ``(m, s)`` follow from that
+    bound and the theta table: no norm estimate, so no random vectors.
+    ``M`` acts only through :func:`kronmode.kron.matvec`.
     """
-    # Imported here: at module top it would add about 25 ms to ``import kronmode.cli``.
-    from scipy.sparse.linalg import expm_multiply
-
     v = np.asarray(v)
     dtype = np.result_type(np.float64, v.dtype, *(a.dtype for a in op.factors))
-    if abs(tau) * sum(np.abs(a).sum(axis=0).max() for a in op.factors) < np.finfo(float).eps / 2:
-        v = v.astype(dtype, copy=False)
-        return v + tau * matvec(op, v)
-    trace = sum(np.trace(a) * (op.size // a.shape[0]) for a in op.factors)
-    state = np.random.get_state()
-    np.random.seed(0)
-    try:
-        y = expm_multiply(tau * _linear_operator(op, dtype),
-                          v.astype(dtype, copy=False).ravel(order="F"), traceA=tau * trace)
-    finally:
-        np.random.set_state(state)
-    return y.reshape(op.shape, order="F")
-
-
-def _linear_operator(op, dtype):
-    """``op`` as a scipy ``LinearOperator`` on column-major vectorized tensors.
-
-    Its adjoint, which ``expm_multiply``'s norm estimate applies, is the
-    Kronecker sum of the conjugate-transposed factors.
-    """
-    from scipy.sparse.linalg import LinearOperator
-
-    adjoint = KroneckerOp(tuple(a.conj().T for a in op.factors))
-
-    def action(o):
-        return lambda x: matvec(o, x.reshape(op.shape, order="F")).ravel(order="F")
-
-    return LinearOperator((op.size, op.size), matvec=action(op), rmatvec=action(adjoint),
-                          dtype=dtype)
+    means = [np.trace(a) / a.shape[0] for a in op.factors]
+    shifted = KroneckerOp(tuple(a - mu * np.eye(a.shape[0]) for a, mu in zip(op.factors, means)))
+    bound = abs(tau) * sum(np.abs(a).sum(axis=0).max() for a in shifted.factors)
+    m, s = min(((m, max(1, math.ceil(bound / theta))) for m, theta in _THETA.items()),
+               key=lambda ms: ms[0] * ms[1])
+    eta = np.exp(tau * sum(means) / s)
+    f = v.astype(dtype)
+    for _ in range(s):
+        b = f
+        c1 = np.abs(b).max()
+        for j in range(1, m + 1):
+            b = tau / (s * j) * matvec(shifted, b)
+            c2 = np.abs(b).max()
+            f = f + b
+            if c1 + c2 <= 2.0**-53 * np.abs(f).max():
+                break
+            c1 = c2
+        f = eta * f
+    return f

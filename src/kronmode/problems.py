@@ -1,8 +1,8 @@
 """End-to-end drivers for the benchmark problems.
 
 Five problem families: a periodic 3D heat equation with a closed-form
-reference, a 2D pipe diffusion-advection model checked against scipy's
-``expm_multiply`` on the same Kronecker-sum action, linear Schrodinger
+reference, a 2D pipe diffusion-advection model checked against a scaled
+Taylor series on the same Kronecker-sum action, linear Schrodinger
 equations with time-independent and time-dependent potentials in the
 Hermite basis, and the cubic nonlinear Schrodinger (Gross-Pitaevskii)
 equation with Strang splitting.
@@ -203,13 +203,13 @@ def heat3d_run(n, p=2, T=1.0, steps=1, norm_kind="max", precision="double"):
 def pipeflow_run(n, T=4.0, steps=1, norm_kind="max", precision="double"):
     """Propagate a Gaussian blob through the pipe model.
 
-    The reference is ``exp(T*M) c0`` on the same discretization by scipy's
-    ``expm_multiply``, which sees the generator only through its
-    matrix-free action (see :mod:`kronmode.krylov`), accurate to about
-    1e-14; so the reported error is that of the integrator.  The reference
-    runs after the timed block: it is outside ``total_s`` and the phase
-    timings, but inside the wall time of a CLI call, where it takes almost
-    all of it.
+    The reference is ``exp(T*M) c0`` on the same discretization by a
+    truncated Taylor series with scaling, which sees the generator only
+    through its matrix-free action (see :mod:`kronmode.krylov`), accurate
+    to about 1e-14; so the reported error is that of the integrator.  The
+    reference runs after the timed block: it is outside ``total_s`` and the
+    phase timings, but inside the wall time of a CLI call, where it takes
+    most of it.
     """
     if n < 16:
         raise ConfigurationError(f"the pipe flow run needs n >= 16, got {n}")

@@ -44,7 +44,8 @@ TIMING_FIELDS = {"time_exp_s", "time_mumode_s", "time_other_s", "total_s"}
 
 # Non-timing JSON fields of each command at --threads 1, captured before the
 # five drivers shared one run path (pipeflow's error since its reference is
-# scipy's expm_multiply); floats are compared to 1e-12 relative.  The gpe and
+# the scaled Taylor series of krylov._expmv_reference); floats are compared
+# to 1e-12 relative.  The gpe and
 # pipeflow errors are round-off of the integrators, so another BLAS build may
 # not reproduce them.
 GOLDEN_REPORTS = [
@@ -54,7 +55,7 @@ GOLDEN_REPORTS = [
       "precision": "double"}),
     (["pipeflow", "--n", "16", "--T", "1", "--steps", "2"],
      {"problem": "pipeflow", "shape": [16, 16], "steps": 2, "tau": 0.5,
-      "error": 3.164324248193437e-15, "norm_kind": "max", "n": 16, "k": None, "p": None,
+      "error": 1.650951781666141e-15, "norm_kind": "max", "n": 16, "k": None, "p": None,
       "precision": "double"}),
     (["schrodinger-ti", "--k", "10", "--k-ref", "16"],
      {"problem": "schrodinger-ti", "shape": [10, 10, 10], "steps": 1, "tau": 1.0,
@@ -383,12 +384,14 @@ class TestRun:
 
 
 def test_import_leaves_out_scipy_sparse_linalg():
-    # The pipe-flow reference imports it when it runs; at import time it
-    # would add about 25 ms and 2.3 MB to every command.
+    # Nothing in kronmode uses it, the pipe-flow reference included; at
+    # import time it would add about 25 ms and 2.3 MB to every command.
     env = dict(os.environ)
     src = str(Path(kronmode.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = "import sys, kronmode.cli; print('scipy.sparse.linalg' in sys.modules)"
+    code = ("import sys, kronmode.cli; print('scipy.sparse.linalg' in sys.modules); "
+            "kronmode.cli.main(['pipeflow', '--n', '16', '--output', 'csv']); "
+            "print('scipy.sparse' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                         timeout=120, check=True).stdout
-    assert out.strip() == "False"
+                         timeout=120, check=True).stdout.split()
+    assert [out[0], out[-1]] == ["False", "False"]

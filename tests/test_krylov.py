@@ -1,15 +1,18 @@
+import math
 import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.linalg import expm_multiply
 
 from kronmode import kron, krylov, linalg
 from kronmode.errors import ConfigurationError, NoConvergenceError, ShapeError
 from kronmode.fd import heat_factors, pipeflow_factors, pipeflow_grids
 from kronmode.kron import KroneckerOp, assemble_full, prepare, step
-from kronmode.krylov import _expmv_reference, _linear_operator, arnoldi_expmv
+from kronmode.krylov import _THETA, _expmv_reference, arnoldi_expmv
 from kronmode.linalg import matexp
 from kronmode.tensor import norm
 
@@ -158,6 +161,15 @@ def _random_op(rng, shape, complex_factors):
     return KroneckerOp(tuple(factors))
 
 
+def _pipeflow_state(n):
+    """The pipe-flow driver's Gaussian blob."""
+    rho_grid, z_grid = pipeflow_grids(n)
+    return np.asfortranarray(
+        np.exp(-8.0 * (rho_grid.points - 2.55) ** 2)[:, None]
+        * np.exp(-8.0 * (z_grid.points - 1.5) ** 2)[None, :]
+    )
+
+
 class TestExpmvReference:
     @settings(max_examples=60, deadline=None)
     @given(shape=st.lists(st.integers(1, 5), min_size=1, max_size=3).map(tuple),
@@ -197,31 +209,55 @@ class TestExpmvReference:
         assert norm(got - want, "two") <= 1e-12 * norm(want, "two")
 
     @pytest.mark.parametrize("complex_factors", [False, True])
-    def test_adjoint_is_the_conjugate_transpose(self, complex_factors):
-        rng = np.random.default_rng(8)
-        op = _random_op(rng, (3, 4, 2), complex_factors)
-        dtype = np.complex128 if complex_factors else np.float64
-        generator = _linear_operator(op, dtype)
-        x = rng.standard_normal(op.size) + 1j * rng.standard_normal(op.size)
-        full = assemble_full(op)
-        assert np.allclose(generator.matvec(x), full @ x, rtol=0, atol=1e-13)
-        assert np.allclose(generator.rmatvec(x), full.conj().T @ x, rtol=0, atol=1e-13)
-
-    def test_passes_the_exact_trace(self, monkeypatch):
-        import scipy.sparse.linalg
-
-        seen = []
-        original = scipy.sparse.linalg.expm_multiply
-
-        def spy(a, b, **kwargs):
-            seen.append(kwargs["traceA"])
-            return original(a, b, **kwargs)
-
-        monkeypatch.setattr(scipy.sparse.linalg, "expm_multiply", spy)
+    def test_multiples_of_the_identity_give_the_scalar_exponential_exactly(self,
+                                                                           complex_factors):
+        # The mean-diagonal shift takes the whole operator, so no Taylor term
+        # is left; dyadic multiples keep the means exact.
+        cs = (-0.75, 1.5, 0.25)
+        if complex_factors:
+            cs = tuple(c + 0.5j * c for c in cs)
+        shape = (4, 2, 8)
+        op = KroneckerOp(tuple(c * np.eye(n) for c, n in zip(cs, shape)))
         rng = np.random.default_rng(12)
-        op = _random_op(rng, (3, 4, 2), True)
-        _expmv_reference(op, np.ones((3, 4, 2)), 0.6)
-        assert seen == [pytest.approx(0.6 * np.trace(assemble_full(op)), rel=1e-14)]
+        v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        assert np.array_equal(_expmv_reference(op, v, 0.3), np.exp(0.3 * sum(cs)) * v)
+
+    def test_matvecs_stay_within_the_degree_and_scaling_of_the_bound(self, monkeypatch):
+        n, tau = 16, 4.0
+        op = pipeflow_factors(n)
+        bound = tau * sum(np.abs(a - np.trace(a) / n * np.eye(n)).sum(axis=0).max()
+                          for a in op.factors)
+        cost = min(m * math.ceil(bound / theta) for m, theta in _THETA.items())
+        calls = []
+
+        def counting(o, u):
+            calls.append(u.shape)
+            return kron.matvec(o, u)
+
+        monkeypatch.setattr(krylov, "matvec", counting)
+        _expmv_reference(op, _pipeflow_state(n), tau)
+        assert 0 < len(calls) <= cost
+
+    @pytest.mark.parametrize("complex_factors", [False, True])
+    @pytest.mark.parametrize("seed", [13, 14, 15])
+    def test_agrees_with_scipy_expm_multiply_on_random_ops(self, seed, complex_factors):
+        rng = np.random.default_rng(seed)
+        op = _random_op(rng, (6, 5, 4), complex_factors)
+        v = rng.standard_normal(op.shape) + 1j * rng.standard_normal(op.shape)
+        got = _expmv_reference(op, v, 0.4).ravel(order="F")
+        want = expm_multiply(0.4 * assemble_full(op), v.ravel(order="F"))
+        assert norm(got - want, "two") <= 1e-13 * norm(want, "two")
+
+    @pytest.mark.parametrize("n", [32, 96])
+    def test_agrees_with_scipy_expm_multiply_on_pipeflow(self, n):
+        op = pipeflow_factors(n)
+        a1, a2 = (scipy.sparse.csr_matrix(a) for a in op.factors)
+        eye = scipy.sparse.identity(n, format="csr")
+        full = scipy.sparse.kron(eye, a1) + scipy.sparse.kron(a2, eye)
+        c0 = _pipeflow_state(n)
+        got = _expmv_reference(op, c0, 4.0).ravel(order="F")
+        want = expm_multiply(4.0 * full.tocsr(), c0.ravel(order="F"))
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
     def test_zero_increment_returns_input(self):
         rng = np.random.default_rng(9)
@@ -250,15 +286,12 @@ class TestExpmvReference:
         assert norm(got - step(prepare(op, 0.3), v), "two") <= 1e-12 * norm(got, "two")
 
     def test_independent_of_the_global_generator_which_it_leaves_alone(self):
-        # At n=48, T=4 the starting vectors of the 1-norm estimate after
-        # np.random.seed(10) lead to a result that differs in the last bits
-        # from the one after seed 0.
+        # At n=48, T=4 a 1-norm estimate that draws its starting vectors from
+        # the global generator (as scipy's expm_multiply does) gives a result
+        # after np.random.seed(10) that differs in the last bits from the one
+        # after seed 0.
         n = 48
-        rho_grid, z_grid = pipeflow_grids(n)
-        c0 = np.asfortranarray(
-            np.exp(-8.0 * (rho_grid.points - 2.55) ** 2)[:, None]
-            * np.exp(-8.0 * (z_grid.points - 1.5) ** 2)[None, :]
-        )
+        c0 = _pipeflow_state(n)
         op = pipeflow_factors(n)
         results = []
         for seed in (0, 10):
