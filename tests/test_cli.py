@@ -45,9 +45,8 @@ TIMING_FIELDS = {"time_exp_s", "time_mumode_s", "time_other_s", "total_s"}
 # Non-timing JSON fields of each command at --threads 1, captured before the
 # five drivers shared one run path (pipeflow's error since its reference is
 # the scaled Taylor series of krylov._expmv_reference); floats are compared
-# to 1e-12 relative.  The gpe and
-# pipeflow errors are round-off of the integrators, so another BLAS build may
-# not reproduce them.
+# to 1e-12 relative.  The gpe and pipeflow errors are round-off of the
+# integrators, so another BLAS build may not reproduce them.
 GOLDEN_REPORTS = [
     (["heat", "--n", "16", "--p", "4", "--T", "0.5", "--steps", "3"],
      {"problem": "heat", "shape": [16, 16, 16], "steps": 3, "tau": 0.16666666666666666,

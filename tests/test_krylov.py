@@ -236,7 +236,8 @@ class TestExpmvReference:
 
         monkeypatch.setattr(krylov, "matvec", counting)
         _expmv_reference(op, _pipeflow_state(n), tau)
-        assert 0 < len(calls) <= cost
+        # At most m*s, and fewer here because the stages stop early (164 of 200).
+        assert 0 < len(calls) < cost
 
     @pytest.mark.parametrize("complex_factors", [False, True])
     @pytest.mark.parametrize("seed", [13, 14, 15])
