@@ -148,7 +148,9 @@ def build_parser():
     gpe = sub.add_parser("gpe", help="Gross-Pitaevskii vortex pair with Strang splitting")
     gpe.add_argument("--n", type=_positive_int, default=32, help="grid points per direction")
     gpe.add_argument("--T", type=_positive_float, default=2.5, help="final time")
-    gpe.add_argument("--tau", type=_positive_float, default=0.1, help="time step size")
+    gpe.add_argument("--tau", type=_positive_float, default=0.1,
+                     help="nominal time step: the run takes steps = max(1, round(T/tau)) "
+                          "equal steps of T/steps")
     _add_common(gpe)
 
     sweep = sub.add_parser("sweep", help="run one problem over a list of resolutions")

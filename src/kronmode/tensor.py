@@ -274,6 +274,10 @@ def norm(u, kind="two", weights=None):
     """
     u = np.asarray(u)
     if kind == "max":
+        if u.dtype.kind == "f":
+            # The larger of |max| and |min|, with no full-size |u| temporary;
+            # a NaN entry makes both NaN.
+            return float(max(abs(u.max()), abs(u.min())))
         return float(np.max(np.abs(u)))
     if kind == "two":
         return float(np.linalg.norm(u.ravel(order="K")))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kronmode import kron
 from kronmode.errors import ConfigurationError, InvalidInputError, OracleSizeError, ShapeError
@@ -275,3 +277,87 @@ class TestStep:
         cache = prepare(KroneckerOp((np.eye(2),)), 0.1)
         with pytest.raises(ConfigurationError):
             step(cache, np.ones(2), steps=steps)
+
+
+shapes = st.lists(st.integers(1, 5), min_size=1, max_size=3).map(tuple)
+
+
+def scaled_op(rng, shape, complex_factors, skew=False, diagonal=()):
+    """Random factors of unit Frobenius norm (skew-symmetric or skew-Hermitian
+    with ``skew``); the directions in ``diagonal`` get exactly diagonal ones."""
+    factors = []
+    for mu, n in enumerate(shape, start=1):
+        a = rng.standard_normal((n, n))
+        if complex_factors:
+            a = a + 1j * rng.standard_normal((n, n))
+        if skew:
+            a = a - a.conj().T
+        if mu in diagonal:
+            a = np.diag(np.diagonal(a))
+        factors.append(a / (np.linalg.norm(a) or 1.0))
+    return KroneckerOp(tuple(factors))
+
+
+def random_state(rng, shape, dtype):
+    u = rng.standard_normal(shape)
+    if np.dtype(dtype).kind == "c":
+        u = u + 1j * rng.standard_normal(shape)
+    return np.asfortranarray(u.astype(dtype))
+
+
+class TestStepProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(shape=shapes, seed=st.integers(0, 2**31), complex_factors=st.booleans(),
+           tau1=st.floats(-1.0, 1.0), tau2=st.floats(-1.0, 1.0))
+    def test_semigroup_law(self, shape, seed, complex_factors, tau1, tau2):
+        rng = np.random.default_rng(seed)
+        op = scaled_op(rng, shape, complex_factors, diagonal={int(rng.integers(1, 4))})
+        u = random_state(rng, shape, np.float64)
+        two = step(prepare(op, tau2), step(prepare(op, tau1), u))
+        one = step(prepare(op, tau1 + tau2), u)
+        # Each factor has unit norm, so no step grows or shrinks u by more
+        # than exp(len(shape) * 2) and round-off stays near eps * |u|.
+        assert norm(two - one, "two") <= 1e-12 * norm(u, "two")
+
+    @settings(max_examples=60, deadline=None)
+    @given(shape=shapes, seed=st.integers(0, 2**31), complex_factors=st.booleans(),
+           single=st.booleans(), tau=st.floats(-3.0, 3.0), steps=st.integers(1, 4))
+    def test_skew_factors_preserve_the_norm(self, shape, seed, complex_factors, single, tau,
+                                            steps):
+        rng = np.random.default_rng(seed)
+        op = scaled_op(rng, shape, complex_factors, skew=True,
+                       diagonal={int(rng.integers(1, 4))} if complex_factors else ())
+        real = np.float32 if single else np.float64
+        dtype = np.result_type(real, np.complex64) if complex_factors else real
+        u = random_state(rng, shape, dtype)
+        v = step(prepare(op, tau, dtype), u, steps=steps)
+        assert v.dtype == dtype
+        tol = 2e-6 if single else 1e-13
+        assert abs(norm(v, "two") - norm(u, "two")) <= steps * tol * norm(u, "two")
+
+    @settings(max_examples=80, deadline=None)
+    @given(shape=shapes, seed=st.integers(0, 2**31), complex_factors=st.booleans(),
+           single=st.booleans(), steps=st.integers(1, 3),
+           layout=st.sampled_from(["C", "strided", "permuted"]), perm=st.permutations(range(3)))
+    def test_input_layout_does_not_change_the_result(self, shape, seed, complex_factors,
+                                                     single, steps, layout, perm):
+        rng = np.random.default_rng(seed)
+        op = scaled_op(rng, shape, complex_factors, diagonal={int(rng.integers(1, 4))})
+        real = np.float32 if single else np.float64
+        dtype = np.result_type(real, np.complex64) if complex_factors else real
+        cache = prepare(op, 0.7, dtype)
+        base = random_state(rng, shape[:-1] + (2 * shape[-1],), dtype)
+        u = np.asfortranarray(base[..., ::2])
+        if layout == "C":
+            view = np.ascontiguousarray(u)
+        elif layout == "strided":
+            view = base[..., ::2]
+        else:
+            # a C-ordered array of u with its axes permuted, viewed back
+            perm = [ax for ax in perm if ax < u.ndim]
+            view = np.ascontiguousarray(u.transpose(perm)).transpose(np.argsort(perm))
+        assert np.array_equal(view, u)
+        want = step(cache, u, steps=steps)
+        got = step(cache, view, steps=steps)
+        assert got.dtype == want.dtype and got.flags.f_contiguous
+        assert got.tobytes(order="F") == want.tobytes(order="F")

@@ -1,5 +1,7 @@
 import math
+import struct
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from kronmode.errors import (
     InvalidReferenceError,
     ShapeError,
 )
-from kronmode.fd import pipeflow_factors, pipeflow_grids
+from kronmode.fd import heat_factors, pipeflow_factors, pipeflow_grids, uniform_periodic_grid
 from kronmode.hermite import forward_transform, harmonic_eigenvalues, hermite_basis
 from kronmode.kron import KroneckerOp, prepare, step
 from kronmode.problems import (
@@ -110,6 +112,36 @@ class TestHeat:
         assert data["shape"] == [16, 16, 16]
         assert set(data) >= {"problem", "steps", "tau", "error", "norm_kind",
                              "time_exp_s", "time_mumode_s", "time_other_s", "total_s"}
+
+    @pytest.mark.parametrize("precision", ["double", "single"])
+    @pytest.mark.parametrize("norm_kind", ["max", "two"])
+    def test_error_is_the_plain_formula_bit_for_bit(self, norm_kind, precision):
+        n, T, steps = 12, 0.8, 3
+        cos = np.cos(uniform_periodic_grid(0.0, 2 * np.pi, n).points)
+        u0 = np.asfortranarray(cos[:, None, None] + cos[None, :, None] + cos[None, None, :])
+        dtype = np.float32 if precision == "single" else np.float64
+        u = step(prepare(heat_factors(n, 2), T / steps, dtype), kron._cast(u0, dtype),
+                 steps=steps)
+        diff, ref = u.astype(np.float64) - np.exp(-T) * u0, np.exp(-T) * u0
+        if norm_kind == "max":
+            want = np.max(np.abs(diff)) / np.max(np.abs(ref))
+        else:
+            want = np.linalg.norm(diff.ravel(order="F")) / np.linalg.norm(ref.ravel(order="F"))
+        got = heat3d_run(n, T=T, steps=steps, norm_kind=norm_kind, precision=precision).error
+        assert struct.pack("<d", got) == struct.pack("<d", float(want))
+
+    @pytest.mark.parametrize("norm_kind", ["max", "two"])
+    def test_the_run_sets_the_peak_memory(self, norm_kind):
+        # The run holds 4 states (u0, the step input and two product
+        # outputs); the setup and the error check must hold fewer.
+        heat3d_run(16, norm_kind=norm_kind)  # first-call caches stay out of the count
+        tracemalloc.start()
+        try:
+            heat3d_run(64, steps=4, norm_kind=norm_kind)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.25 * 64**3 * np.dtype(np.float64).itemsize
 
     def test_exponential_seconds_count_as_exponential_time(self, monkeypatch):
         factor_exp = kron._factor_exp

@@ -1,3 +1,4 @@
+import struct
 import threading
 from contextlib import nullcontext
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from kronmode.errors import ConfigurationError, InvalidDirectionError, ShapeError
 from kronmode.kron import _exponentials
@@ -289,6 +291,24 @@ class TestNorm:
         want = np.sqrt(sum(w1[i] * w2[j] * abs(u[i, j]) ** 2
                            for i in range(3) for j in range(4)))
         assert norm(u, "weighted_two", weights=[w1, w2]) == pytest.approx(want, rel=1e-13)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), single=st.booleans(),
+           layout=st.sampled_from(["F", "C", "strided", "reversed"]))
+    def test_max_of_a_real_tensor_is_bitwise_max_abs(self, data, single, layout):
+        dtype = np.float32 if single else np.float64
+        specials = st.sampled_from([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf])
+        elements = st.floats(width=32 if single else 64) | specials
+        shape = data.draw(hnp.array_shapes(max_dims=3, min_side=1, max_side=4))
+        base = data.draw(hnp.arrays(dtype, shape[:-1] + (2 * shape[-1],), elements=elements))
+        u = {"F": np.asfortranarray(base[..., ::2]), "C": np.ascontiguousarray(base[..., ::2]),
+             "strided": base[..., ::2], "reversed": base[..., ::-2]}[layout]
+        want = float(np.max(np.abs(u)))
+        assert struct.pack("<d", norm(u, "max")) == struct.pack("<d", want)
+
+    def test_max_of_a_complex_tensor_is_its_largest_modulus(self):
+        u = np.array([[3.0 - 4.0j, -1.0], [0.5j, -0.0]], order="F")
+        assert norm(u, "max") == 5.0
 
     def test_weight_length_mismatch(self):
         with pytest.raises(ShapeError):
