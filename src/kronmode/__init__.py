@@ -50,7 +50,6 @@ from .krylov import arnoldi_expmv
 from .linalg import matexp
 from .problems import (
     RunReport,
-    TimeGrid,
     gpe_run,
     gpe_strang_step,
     heat3d_run,

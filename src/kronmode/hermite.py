@@ -88,10 +88,6 @@ class HermiteBasis:
     mod_weights: np.ndarray
     phi: np.ndarray
 
-    @property
-    def psi(self):
-        return self.phi.T
-
 
 def hermite_basis(k):
     """Build the k-function basis with k-point quadrature."""

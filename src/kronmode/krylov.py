@@ -26,8 +26,8 @@ _BREAKDOWN_RTOL = 1e-12
 def arnoldi_expmv(op, v, tau, tol=1e-10, m_max=50, max_substeps=1024, return_estimate=False):
     """Approximate ``exp(tau*M) v`` for a Kronecker-sum generator ``M``.
 
-    Plain Arnoldi with modified Gram-Schmidt and one reorthogonalization
-    pass.  Each substep is accepted once the relative norm difference
+    Plain Arnoldi with classical Gram-Schmidt, two block products, run twice
+    (CGS2).  Each substep is accepted once the relative norm difference
     between approximations at consecutive even subspace sizes drops below
     ``tol``; if that never happens at ``m_max``, ``tau`` is split into twice
     as many equal substeps and the sweep restarts, up to ``max_substeps``.
@@ -111,14 +111,10 @@ def _arnoldi_substep(op, y0, shape, tau, tol, m_max):
     estimate = np.inf
     for j in range(m_max):
         w = matvec(op, basis[:, j].reshape(shape, order="F")).ravel(order="F")
-        for i in range(j + 1):
-            coeff = np.vdot(basis[:, i], w)
-            hess[i, j] += coeff
-            w -= coeff * basis[:, i]
-        for i in range(j + 1):
-            coeff = np.vdot(basis[:, i], w)
-            hess[i, j] += coeff
-            w -= coeff * basis[:, i]
+        for _ in range(2):  # the second pass reorthogonalizes
+            coeffs = basis[:, :j + 1].conj().T @ w
+            hess[:j + 1, j] += coeffs
+            w -= basis[:, :j + 1] @ coeffs
         h_next = np.linalg.norm(w)
         m = j + 1
         h_scale = max(1.0, float(np.abs(hess[:m, :m]).max()))

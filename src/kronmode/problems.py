@@ -11,8 +11,9 @@ Every driver supplies its initial state, generator and reference to one run
 path (:class:`_Run`), which casts to the requested precision, advances the
 state with one of three steppers -- the exact propagator
 (:func:`kronmode.kron.step`), the exponential midpoint rule
-(:func:`magnus_midpoint_step`) or Strang splitting (:func:`gpe_strang_step`)
--- and returns a :class:`RunReport` with the phase timing split into matrix
+(:func:`magnus_midpoint_step`, both Schrodinger problems through
+:func:`hermite_solve`) or Strang splitting (:func:`gpe_strang_step`) -- and
+returns a :class:`RunReport` with the phase timing split into matrix
 exponentials, mode products and the rest.
 """
 
@@ -48,42 +49,22 @@ from .tensor import count_flops, scale_modes, tucker
 
 __all__ = [
     "RunReport",
-    "TimeGrid",
     "VortexProfile",
     "gpe_run",
     "gpe_setup",
     "gpe_strang_step",
     "heat3d_run",
+    "hermite_solve",
     "hkmp_factors",
     "hkmp_run",
-    "hkmp_solve",
     "hkp_run",
-    "hkp_solve",
     "magnus_midpoint_step",
     "pipeflow_run",
     "relative_error",
     "schrodinger_initial_state",
-    "ti_potentials",
+    "ti_factors",
     "vortex_pair_state",
 ]
-
-
-@dataclass(frozen=True)
-class TimeGrid:
-    """Uniform time grid from t0 to final time T in ``steps`` steps."""
-
-    t0: float
-    T: float
-    steps: int
-
-    def __post_init__(self):
-        _check_steps(self.steps)
-        if not self.T > self.t0:
-            raise ConfigurationError("final time must exceed the initial time")
-
-    @property
-    def tau(self):
-        return (self.T - self.t0) / self.steps
 
 
 @dataclass
@@ -117,10 +98,10 @@ class _Run:
     """The run path of every driver: precision, time grid, timing and report.
 
     A driver creates it once its own input is valid; the constructor
-    validates the precision and the time grid.  The driver's work runs in
-    :meth:`timed`, whose wall time splits into matrix exponentials, mode
-    products (spectral transforms included) and the rest.  :meth:`report`
-    runs after it, so the reference solve is not timed.
+    validates the precision and the time grid (``steps``, ``T > 0``).  The
+    driver's work runs in :meth:`timed`, whose wall time splits into matrix
+    exponentials, mode products (spectral transforms included) and the
+    rest.  :meth:`report` runs after it, so the reference solve is not timed.
     """
 
     def __init__(self, precision, T, steps):
@@ -128,7 +109,10 @@ class _Run:
             raise ConfigurationError(f"unknown precision {precision!r}")
         self.precision = precision
         self.dtype = np.float32 if precision == "single" else np.float64
-        self.grid = TimeGrid(0.0, T, steps)
+        _check_steps(steps)
+        if not T > 0:
+            raise ConfigurationError(f"the final time must be positive, got {T!r}")
+        self.steps, self.tau = steps, T / steps
 
     @contextmanager
     def timed(self):
@@ -141,7 +125,7 @@ class _Run:
     def exact(self, op, u0):
         """``u0``, cast to the run's precision, advanced over the grid by ``exp(t*op)``."""
         u = _cast(u0, self.dtype)
-        return step(prepare(op, self.grid.tau, u.dtype), u, steps=self.grid.steps)
+        return step(prepare(op, self.tau, u.dtype), u, steps=self.steps)
 
     def report(self, problem, u, error, norm_kind, **fields):
         """Report ``error(u)`` (nan for ``error=None``) with the timed block's split.
@@ -150,7 +134,7 @@ class _Run:
         """
         exp_s, mode_s = self.tally.exp_s, self.tally.mode_s
         return RunReport(
-            problem=problem, shape=u.shape, steps=self.grid.steps, tau=self.grid.tau,
+            problem=problem, shape=u.shape, steps=self.steps, tau=self.tau,
             error=float("nan") if error is None else error(u), norm_kind=norm_kind,
             time_exp_s=exp_s, time_mumode_s=mode_s,
             time_other_s=max(self.total - exp_s - mode_s, 0.0), total_s=self.total,
@@ -158,7 +142,7 @@ class _Run:
         )
 
 
-def relative_error(u, ref, norm_kind="max", weights=None):
+def relative_error(u, ref, norm_kind="max"):
     """``|u - ref| / |ref|`` in the chosen norm.
 
     The difference, in the promoted dtype of ``u`` and ``ref``, is the one
@@ -169,10 +153,10 @@ def relative_error(u, ref, norm_kind="max", weights=None):
     ref = np.asarray(ref)
     if u.shape != ref.shape:
         raise ShapeError(f"shapes {u.shape} and {ref.shape} differ")
-    denom = tensor_norm(ref, norm_kind, weights)
+    denom = tensor_norm(ref, norm_kind)
     if denom == 0.0:
         raise InvalidReferenceError("reference tensor has zero norm")
-    return tensor_norm(u - ref, norm_kind, weights) / denom
+    return tensor_norm(u - ref, norm_kind) / denom
 
 
 # ---------------------------------------------------------------------------
@@ -257,61 +241,77 @@ def schrodinger_initial_state(axes):
     return np.asfortranarray(2.0**-2.5 * np.pi**-0.75 * (x1 + 1j * x2) * envelope)
 
 
-def ti_potentials():
-    """Per-direction potentials of the time-independent benchmark."""
-    return (
-        lambda x: np.cos(2 * np.pi * x),
-        lambda x: 0.5 * x * x,
-        lambda x: 0.5 * x * x,
-    )
+def ti_factors(potentials=None):
+    """Generator of the time-independent problem, as a function of the basis.
+
+    Returns ``basis -> (lambda t: factors)``, one Hamiltonian factor per
+    potential (by default ``cos(2 pi x)``, ``x^2/2``, ``x^2/2``), built once
+    per basis and returned at every t.  A plain harmonic potential gives an
+    exactly diagonal factor.
+    """
+    if potentials is None:
+        potentials = (lambda x: np.cos(2 * np.pi * x),) + (lambda x: 0.5 * x * x,) * 2
+
+    def factors_of(basis):
+        factors = tuple(hamiltonian_factor(basis, v) for v in potentials)
+        return lambda t: factors
+
+    return factors_of
 
 
-def _hermite_initial(k):
-    """Basis and initial coefficients of both Schrodinger problems, in double."""
-    basis = hermite_basis(k)
-    return basis, forward_transform((basis,) * 3, schrodinger_initial_state((basis.nodes,) * 3))
+def hermite_solve(k, factors_of, T=1.0, steps=1, dtype=np.float64):
+    """Propagate the wavepacket from 0 to T in the k-function Hermite basis.
 
-
-def hkp_solve(k, T=1.0, potentials=None, _run=None):
-    """Single exact coefficient-space step of the time-independent problem.
-
-    Returns ``(basis, coeffs0, coeffsT)``; the same basis serves all three
-    directions.
+    ``factors_of(basis)`` returns the generator's factors as a function of t
+    (:func:`hkmp_factors`, or :func:`ti_factors`).  The coefficients, cast by
+    :func:`kronmode.kron._cast`, take ``steps`` steps of
+    :func:`magnus_midpoint_step`, which for a constant generator is the exact
+    propagator.  Returns ``(basis, coeffs0, coeffsT)`` with ``coeffs0`` in
+    double; the basis serves all three directions.
     """
     if k < 2:
         raise ConfigurationError(f"the Hermite solver needs k >= 2, got {k}")
-    run = _Run("double", T, 1) if _run is None else _run
-    basis, coeffs0 = _hermite_initial(k)
-    if potentials is None:
-        potentials = ti_potentials()
-    op = KroneckerOp(tuple(hamiltonian_factor(basis, v) for v in potentials))
-    return basis, coeffs0, run.exact(op, coeffs0)
+    _check_steps(steps)
+    basis = hermite_basis(k)
+    coeffs0 = forward_transform((basis,) * 3, schrodinger_initial_state((basis.nodes,) * 3))
+    coeffs = magnus_midpoint_step(factors_of(basis), _cast(coeffs0, dtype), 0.0, T / steps,
+                                  steps=steps)
+    return basis, coeffs0, coeffs
+
+
+def _hermite_run(problem, k, T, steps, factors_of, ref, norm_kind, precision):
+    """Run path of both Schrodinger drivers.
+
+    The error compares values at the k-point nodes with those of a
+    :func:`hermite_solve` with ``ref = (k_ref, ref_steps)`` at the same nodes;
+    ``ref=None`` skips it (error nan).  The transforms run in double
+    precision; a single-precision run casts the coefficients for the steps.
+    """
+    run = _Run(precision, T, steps)
+    with run.timed():
+        basis, _, coeffs = hermite_solve(k, factors_of, T, steps, run.dtype)
+        values = inverse_transform((basis,) * 3, coeffs.astype(np.complex128, copy=False))
+
+    def error(values):
+        basis_ref, _, coeffs_ref = hermite_solve(ref[0], factors_of, T, ref[1])
+        ref_values = inverse_transform((basis_ref,) * 3, coeffs_ref, eval_points=(basis.nodes,) * 3)
+        return relative_error(values, ref_values, norm_kind)
+
+    return run.report(problem, values, None if ref is None else error, norm_kind, k=k)
 
 
 def hkp_run(k, T=1.0, k_ref=120, norm_kind="max", precision="double"):
-    """Hermite pseudospectral run with exact time propagation.
+    """Hermite pseudospectral run of the time-independent problem in one exact step.
 
-    The error compares grid values at the k-point node set against a
-    higher-resolution solve with ``k_ref`` functions per direction,
-    evaluated at the same coarse nodes.  ``k_ref=None`` skips the reference
-    (error reported as nan).  The transforms run in double precision; a
-    single-precision run casts the coefficients for the time step only.
+    The reference has ``k_ref`` functions per direction, ``None`` skips it; see
+    :func:`_hermite_run`.
     """
     if k < 8:
         raise ConfigurationError(f"the benchmark run needs k >= 8, got {k}")
     if k_ref is not None and k_ref < k:
         raise ConfigurationError("the reference resolution must be at least k")
-    run = _Run(precision, T, 1)
-    with run.timed():
-        basis, _, coeffs = hkp_solve(k, T, _run=run)
-        values = inverse_transform((basis,) * 3, coeffs.astype(np.complex128, copy=False))
-
-    def error(values):
-        basis_ref, _, coeffs_ref = hkp_solve(k_ref, T)
-        ref_values = inverse_transform((basis_ref,) * 3, coeffs_ref, eval_points=(basis.nodes,) * 3)
-        return relative_error(values, ref_values, norm_kind)
-
-    return run.report("schrodinger-ti", values, None if k_ref is None else error, norm_kind, k=k)
+    return _hermite_run("schrodinger-ti", k, T, 1, ti_factors(),
+                        None if k_ref is None else (k_ref, 1), norm_kind, precision)
 
 
 def magnus_midpoint_step(factors_of_t, u, t, tau, steps=1):
@@ -361,44 +361,18 @@ def hkmp_factors(basis):
     return lambda t: (a_static, a_static, -1j * (d_harm + np.sin(t) ** 2 * x_op))
 
 
-def hkmp_solve(k, T=1.0, steps=16, _run=None):
-    """Magnus-midpoint propagation in coefficient space.
-
-    Returns ``(basis, coeffs0, coeffsT)``.
-    """
-    if k < 2:
-        raise ConfigurationError(f"the Hermite solver needs k >= 2, got {k}")
-    run = _Run("double", T, steps) if _run is None else _run
-    basis, coeffs0 = _hermite_initial(k)
-    coeffs = magnus_midpoint_step(hkmp_factors(basis), _cast(coeffs0, run.dtype), 0.0,
-                                  run.grid.tau, steps=run.grid.steps)
-    return basis, coeffs0, coeffs
-
-
 def hkmp_run(k, T=1.0, steps=32, ref_steps=2048, norm_kind="max", precision="double"):
     """Benchmark run of the time-dependent problem.
 
-    The error compares node values against a fine-step reference with the
-    same spatial resolution, isolating the time-discretization error.
-    ``ref_steps=None`` skips the reference.  The transforms run in double
-    precision, as for :func:`hkp_run`.
+    The reference takes ``ref_steps`` steps at the same spatial resolution,
+    isolating the time error; ``None`` skips it.  See :func:`_hermite_run`.
     """
     if k < 8:
         raise ConfigurationError(f"the benchmark run needs k >= 8, got {k}")
     if ref_steps is not None:
         _check_steps(ref_steps)
-    run = _Run(precision, T, steps)
-    with run.timed():
-        basis, _, coeffs = hkmp_solve(k, T, steps, _run=run)
-        bases = (basis,) * 3
-        values = inverse_transform(bases, coeffs.astype(np.complex128, copy=False))
-
-    def error(values):
-        _, _, coeffs_ref = hkmp_solve(k, T, ref_steps)
-        return relative_error(values, inverse_transform(bases, coeffs_ref), norm_kind)
-
-    return run.report("schrodinger-td", values, None if ref_steps is None else error, norm_kind,
-                      k=k)
+    return _hermite_run("schrodinger-td", k, T, steps, hkmp_factors,
+                        None if ref_steps is None else (k, ref_steps), norm_kind, precision)
 
 
 # ---------------------------------------------------------------------------
@@ -525,16 +499,16 @@ def gpe_run(n, T=2.5, tau=0.1, precision="double"):
     """
     if n < 16:
         raise ConfigurationError(f"the vortex run needs n >= 16, got {n}")
-    if tau <= 0 or T <= 0:
-        raise ConfigurationError("final time and step size must be positive")
+    if tau <= 0:
+        raise ConfigurationError("the step size must be positive")
     run = _Run(precision, T, max(1, round(T / tau)))
     with run.timed():
         grids, linear_op, weights = gpe_setup(n)
         psi = _cast(scale_modes(vortex_pair_state(grids), [np.sqrt(w) for w in weights]),
                     run.dtype)
-        cache = prepare(linear_op, run.grid.tau, psi.dtype)
+        cache = prepare(linear_op, run.tau, psi.dtype)
         norm0 = _two_norm64(psi)
-        psi = gpe_strang_step(cache, weights, psi, run.grid.tau, steps=run.grid.steps)
+        psi = gpe_strang_step(cache, weights, psi, run.tau, steps=run.steps)
     return run.report("gpe", psi, lambda psi: abs(_two_norm64(psi) - norm0) / norm0,
                       "weighted_two", n=n)
 

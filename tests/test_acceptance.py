@@ -26,11 +26,12 @@ from kronmode.problems import (
     gpe_run,
     gpe_setup,
     gpe_strang_step,
+    hermite_solve,
     hkmp_factors,
     hkp_run,
-    hkp_solve,
     magnus_midpoint_step,
     schrodinger_initial_state,
+    ti_factors,
     vortex_pair_state,
 )
 from kronmode.tensor import count_flops, norm
@@ -184,11 +185,11 @@ def test_criterion_5_krylov_cross_check():
 
 def test_criterion_6a_hkp_unitarity_and_harmonic_exactness():
     """Norm conservation and the analytically solvable harmonic case."""
-    _, c0, c_t = hkp_solve(40, T=1.0)
+    _, c0, c_t = hermite_solve(40, ti_factors(), T=1.0)
     drift = abs(norm(c_t, "two") - norm(c0, "two")) / norm(c0, "two")
 
     harmonic = (lambda x: 0.5 * x * x,) * 3
-    _, h0, h_t = hkp_solve(16, T=1.0, potentials=harmonic)
+    _, h0, h_t = hermite_solve(16, ti_factors(harmonic), T=1.0)
     phases = np.exp(-1j * harmonic_eigenvalues((16, 16, 16)))
     harmonic_dev = float(np.abs(h_t - phases * h0).max() / np.abs(h0).max())
 

@@ -19,21 +19,20 @@ from kronmode.fd import heat_factors, pipeflow_factors, pipeflow_grids, uniform_
 from kronmode.hermite import forward_transform, harmonic_eigenvalues, hermite_basis
 from kronmode.kron import KroneckerOp, prepare, step
 from kronmode.problems import (
-    TimeGrid,
     VortexProfile,
     gpe_run,
     gpe_setup,
     gpe_strang_step,
     heat3d_run,
+    hermite_solve,
     hkmp_factors,
     hkmp_run,
-    hkmp_solve,
     hkp_run,
-    hkp_solve,
     magnus_midpoint_step,
     pipeflow_run,
     relative_error,
     schrodinger_initial_state,
+    ti_factors,
     vortex_pair_state,
 )
 from kronmode.tensor import norm
@@ -55,17 +54,6 @@ class TestRelativeError:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             relative_error(np.ones(3), np.ones(4), "max")
-
-
-class TestTimeGrid:
-    def test_tau(self):
-        assert TimeGrid(0.0, 1.0, 4).tau == 0.25
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            TimeGrid(0.0, 1.0, 0)
-        with pytest.raises(ConfigurationError):
-            TimeGrid(1.0, 1.0, 4)
 
 
 class TestHeat:
@@ -210,14 +198,25 @@ class TestPipeflow:
 
 class TestHkp:
     def test_coefficient_norm_conserved(self):
-        _, c0, c_t = hkp_solve(24)
+        _, c0, c_t = hermite_solve(24, ti_factors())
         assert abs(norm(c_t, "two") - norm(c0, "two")) <= 1e-12 * norm(c0, "two")
 
     def test_harmonic_only_matches_diagonal_phases(self):
         harmonic = (lambda x: 0.5 * x * x,) * 3
-        _, c0, c_t = hkp_solve(16, T=1.0, potentials=harmonic)
+        _, c0, c_t = hermite_solve(16, ti_factors(harmonic), T=1.0)
         phases = np.exp(-1j * harmonic_eigenvalues((16, 16, 16)) * 1.0)
         assert np.abs(c_t - phases * c0).max() <= 1e-12 * np.abs(c0).max()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_solve_is_the_exact_propagator_bit_for_bit(self, dtype):
+        # Directions 2 and 3 are harmonic, so exactly diagonal: their
+        # exponentials are vectors, applied as scalings next to a dense one.
+        k, T = 12, 0.7
+        basis, c0, got = hermite_solve(k, ti_factors(), T, dtype=dtype)
+        factors = ti_factors()(basis)(0.0)
+        want = step(prepare(KroneckerOp(factors), T, dtype), kron._cast(c0, dtype))
+        assert got.dtype == want.dtype == (np.complex64 if dtype == np.float32 else np.complex128)
+        assert np.array_equal(got, want)
 
     def test_error_sits_between_adjacent_accuracy_levels(self):
         # the benchmark resolution k=40 is the one whose error lies between
@@ -325,10 +324,10 @@ class TestMagnusMidpoint:
                 assert not ((part != 0) & (np.abs(part) < tiny)).any()
 
     def test_second_order_convergence(self):
-        _, _, ref = hkmp_solve(8, T=1.0, steps=512)
+        _, _, ref = hermite_solve(8, hkmp_factors, T=1.0, steps=512)
         errors = []
         for steps in (8, 16, 32):
-            _, _, c = hkmp_solve(8, T=1.0, steps=steps)
+            _, _, c = hermite_solve(8, hkmp_factors, T=1.0, steps=steps)
             errors.append(norm(c - ref, "two") / norm(ref, "two"))
         orders = [math.log2(errors[i] / errors[i + 1]) for i in range(2)]
         for order in orders:
@@ -337,7 +336,7 @@ class TestMagnusMidpoint:
 
 class TestHkmpRun:
     def test_norm_conserved(self):
-        _, c0, c_t = hkmp_solve(10, T=1.0, steps=32)
+        _, c0, c_t = hermite_solve(10, hkmp_factors, T=1.0, steps=32)
         drift = abs(norm(c_t, "two") - norm(c0, "two")) / norm(c0, "two")
         assert drift <= 1e-11
 
