@@ -17,7 +17,6 @@ from .errors import (
     InvalidReferenceError,
     KronmodeError,
     NoConvergenceError,
-    OracleSizeError,
     ShapeError,
 )
 from .fd import (
@@ -38,14 +37,13 @@ from .hermite import (
     forward_transform,
     gauss_hermite,
     hamiltonian_factor,
-    harmonic_eigenvalues,
     hermite_basis,
     hermite_eval,
     inverse_transform,
     position_operator,
     potential_operator,
 )
-from .kron import KroneckerOp, PropagatorCache, assemble_full, matvec, prepare, step
+from .kron import KroneckerOp, PropagatorCache, matvec, prepare, step
 from .krylov import arnoldi_expmv
 from .linalg import matexp
 from .problems import (

@@ -29,10 +29,6 @@ class InvalidPotentialError(KronmodeError, ValueError):
     """A potential evaluates to a non-finite value at a quadrature node."""
 
 
-class OracleSizeError(KronmodeError, ValueError):
-    """A dense test-oracle assembly exceeds its configured size cap."""
-
-
 class InvalidReferenceError(KronmodeError, ValueError):
     """A relative error was requested against a zero-norm reference."""
 

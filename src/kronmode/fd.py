@@ -105,16 +105,13 @@ def nonuniform_grid(points):
     return Grid1D(np.asarray(points, dtype=float), NONUNIFORM)
 
 
-def sinh_clustered_grid(n, half_width=20.0, strength=2.0):
-    """Nonuniform grid on [-half_width, half_width] clustered around the origin.
+def sinh_clustered_grid(n):
+    """Nonuniform grid of n points on [-20, 20] clustered around the origin.
 
-    Image of a uniform grid under x -> half_width * sinh(strength*x) /
-    sinh(strength); larger ``strength`` clusters harder.
+    Image of a uniform grid on [-1, 1] under x -> 20 sinh(2x) / sinh(2).
     """
-    if strength <= 0:
-        raise ConfigurationError("clustering strength must be positive")
     xi = np.linspace(-1.0, 1.0, n)
-    return nonuniform_grid(half_width * np.sinh(strength * xi) / np.sinh(strength))
+    return nonuniform_grid(20.0 * np.sinh(2.0 * xi) / np.sinh(2.0))
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,6 @@ __all__ = [
     "forward_transform",
     "gauss_hermite",
     "hamiltonian_factor",
-    "harmonic_eigenvalues",
     "hermite_basis",
     "hermite_eval",
     "inverse_transform",
@@ -134,22 +133,6 @@ def inverse_transform(bases, coeffs, eval_points=None):
     return tucker(coeffs, mats)
 
 
-def harmonic_eigenvalues(ks):
-    """Tensor of harmonic-oscillator energies ``sum_mu (i_mu + 1/2)``.
-
-    Storage index ``i_mu`` (0-based) is the quantum number of direction mu.
-    """
-    ks = tuple(int(k) for k in ks)
-    if any(k < 1 for k in ks):
-        raise ConfigurationError("each direction needs at least one basis function")
-    d = len(ks)
-    lam = np.zeros(ks, order="F")
-    for ax, k in enumerate(ks):
-        shape = (1,) * ax + (k,) + (1,) * (d - ax - 1)
-        lam += (np.arange(k) + 0.5).reshape(shape)
-    return lam
-
-
 def position_operator(basis):
     """Coordinate multiplication in coefficient space, via the quadrature.
 
@@ -162,24 +145,18 @@ def position_operator(basis):
     return scaled @ basis.phi.T
 
 
-def potential_operator(basis, potential, quad=None):
-    """Galerkin matrix of a multiplication operator, by quadrature.
+def potential_operator(basis, potential):
+    """Galerkin matrix of a multiplication operator, by the basis quadrature.
 
-    ``P[i, j] = sum_l phi_i(X_l) V(X_l) phi_j(X_l) w_l``.  By default the
-    basis quadrature is used (collocation aliasing accepted); ``quad`` picks
-    a larger node count for oracle-grade accuracy.
+    ``P[i, j] = sum_l phi_i(X_l) V(X_l) phi_j(X_l) w_l`` over the k nodes of
+    the basis (collocation aliasing accepted).
     """
-    if quad is None:
-        nodes, weights, values = basis.nodes, basis.mod_weights, basis.phi
-    else:
-        nodes, weights = gauss_hermite(quad)
-        values = hermite_eval(basis.k, nodes)
-    v = np.asarray(potential(nodes))
-    if v.shape != nodes.shape:
+    v = np.asarray(potential(basis.nodes))
+    if v.shape != basis.nodes.shape:
         raise InvalidPotentialError("potential must map the node vector to one value per node")
     if not np.isfinite(v).all():
         raise InvalidPotentialError("potential is non-finite at a quadrature node")
-    return (values * (v * weights)) @ values.T
+    return (basis.phi * (v * basis.mod_weights)) @ basis.phi.T
 
 
 def hamiltonian_factor(basis, potential):

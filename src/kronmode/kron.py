@@ -3,22 +3,22 @@
 A generator ``M = A_d (+) ... (+) A_1`` acting on vectorized order-d tensors
 is stored as its d one-dimensional factors; ``exp(tau*M)`` is applied as one
 mode product with ``exp(tau*A_mu)`` per direction, which advances linear
-constant-coefficient problems without any time-discretization error.
+constant-coefficient problems without any time-discretization error.  The
+dense ``M`` is never formed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
 from time import perf_counter
 
 import numpy as np
 
-from .errors import ConfigurationError, InvalidInputError, OracleSizeError, ShapeError
+from .errors import ConfigurationError, InvalidInputError, ShapeError
 from .linalg import matexp
 from .tensor import _active_counters, mu_mode_product, tucker
 
-__all__ = ["KroneckerOp", "PropagatorCache", "assemble_full", "matvec", "prepare", "step"]
+__all__ = ["KroneckerOp", "PropagatorCache", "matvec", "prepare", "step"]
 
 
 def _check_square_finite(mats, what, vectors=False):
@@ -55,10 +55,6 @@ class KroneckerOp:
     def shape(self):
         return tuple(a.shape[0] for a in self.factors)
 
-    @property
-    def size(self):
-        return prod(self.shape)
-
 
 @dataclass(frozen=True)
 class PropagatorCache:
@@ -82,30 +78,6 @@ class PropagatorCache:
     @property
     def shape(self):
         return tuple(e.shape[0] for e in self.exps)
-
-
-def assemble_full(op, limit=4096):
-    """Dense ``sum_mu I x ... x A_mu x ... x I`` for test oracles.
-
-    Uses the column-major vectorization convention, so the result times
-    ``u.ravel(order="F")`` matches the tensor-form action.  Capped at
-    ``limit`` total degrees of freedom.
-    """
-    n_total = op.size
-    if n_total > limit:
-        raise OracleSizeError(f"dense assembly of size {n_total} exceeds limit {limit}")
-    dtype = np.result_type(np.float64, *(a.dtype for a in op.factors))
-    full = np.zeros((n_total, n_total), dtype=dtype)
-    for mu in range(op.d):
-        term = np.ones((1, 1), dtype=dtype)
-        for idx in range(op.d):
-            if idx == mu:
-                factor = op.factors[idx].astype(dtype)
-            else:
-                factor = np.eye(op.shape[idx], dtype=dtype)
-            term = np.kron(factor, term)
-        full += term
-    return full
 
 
 def matvec(op, u):

@@ -49,7 +49,6 @@ from .tensor import count_flops, scale_modes, tucker
 
 __all__ = [
     "RunReport",
-    "VortexProfile",
     "gpe_run",
     "gpe_setup",
     "gpe_strang_step",
@@ -241,29 +240,23 @@ def schrodinger_initial_state(axes):
     return np.asfortranarray(2.0**-2.5 * np.pi**-0.75 * (x1 + 1j * x2) * envelope)
 
 
-def ti_factors(potentials=None):
-    """Generator of the time-independent problem, as a function of the basis.
+def ti_factors(basis):
+    """Coefficient-space generator of the time-independent problem, as a function of t.
 
-    Returns ``basis -> (lambda t: factors)``, one Hamiltonian factor per
-    potential (by default ``cos(2 pi x)``, ``x^2/2``, ``x^2/2``), built once
-    per basis and returned at every t.  A plain harmonic potential gives an
-    exactly diagonal factor.
+    One Hamiltonian factor per direction, for the potentials ``cos(2 pi x)``,
+    ``x^2/2`` and ``x^2/2``, built once per basis and returned at every t.
+    The two harmonic factors are exactly diagonal.
     """
-    if potentials is None:
-        potentials = (lambda x: np.cos(2 * np.pi * x),) + (lambda x: 0.5 * x * x,) * 2
-
-    def factors_of(basis):
-        factors = tuple(hamiltonian_factor(basis, v) for v in potentials)
-        return lambda t: factors
-
-    return factors_of
+    potentials = (lambda x: np.cos(2 * np.pi * x),) + (lambda x: 0.5 * x * x,) * 2
+    factors = tuple(hamiltonian_factor(basis, v) for v in potentials)
+    return lambda t: factors
 
 
 def hermite_solve(k, factors_of, T=1.0, steps=1, dtype=np.float64):
     """Propagate the wavepacket from 0 to T in the k-function Hermite basis.
 
     ``factors_of(basis)`` returns the generator's factors as a function of t
-    (:func:`hkmp_factors`, or :func:`ti_factors`).  The coefficients, cast by
+    (:func:`hkmp_factors` or :func:`ti_factors`).  The coefficients, cast by
     :func:`kronmode.kron._cast`, take ``steps`` steps of
     :func:`magnus_midpoint_step`, which for a constant generator is the exact
     propagator.  Returns ``(basis, coeffs0, coeffsT)`` with ``coeffs0`` in
@@ -310,7 +303,7 @@ def hkp_run(k, T=1.0, k_ref=120, norm_kind="max", precision="double"):
         raise ConfigurationError(f"the benchmark run needs k >= 8, got {k}")
     if k_ref is not None and k_ref < k:
         raise ConfigurationError("the reference resolution must be at least k")
-    return _hermite_run("schrodinger-ti", k, T, 1, ti_factors(),
+    return _hermite_run("schrodinger-ti", k, T, 1, ti_factors,
                         None if k_ref is None else (k_ref, 1), norm_kind, precision)
 
 
@@ -379,41 +372,35 @@ def hkmp_run(k, T=1.0, steps=32, ref_steps=2048, norm_kind="max", precision="dou
 # Gross-Pitaevskii equation with Strang splitting.
 
 
-@dataclass(frozen=True)
-class VortexProfile:
+def _vortex_radial(r):
     """Rational-approximation core profile of a straight vortex line.
 
-    ``f(r) = sqrt(r^2 (a1 + a2 r^2) / (1 + b1 r^2 + a2 r^4))`` rises from 0
-    at the core to the unit background density.  ``offset`` is the distance
-    of each vortex line from the midplane.
+    ``f(r) = sqrt(r^2 (a1 + a2 r^2) / (1 + b1 r^2 + a2 r^4))`` with
+    ``a1 = 11/32``, ``a2 = 11/384`` and ``b1 = 1/3`` rises from 0 at the
+    core to the unit background density.
     """
-
-    a1: float = 11.0 / 32.0
-    a2: float = 11.0 / 384.0
-    b1: float = 1.0 / 3.0
-    offset: float = 2.0
-
-    def radial(self, r):
-        r2 = np.asarray(r) ** 2
-        return np.sqrt(r2 * (self.a1 + self.a2 * r2) / (1.0 + self.b1 * r2 + self.a2 * r2**2))
+    r2 = np.asarray(r) ** 2
+    return np.sqrt(r2 * (11.0 / 32.0 + 11.0 / 384.0 * r2)
+                   / (1.0 + 1.0 / 3.0 * r2 + 11.0 / 384.0 * r2**2))
 
 
-def vortex_pair_state(grids, profile=VortexProfile()):
+def vortex_pair_state(grids):
     """Two orthogonal straight vortices in a unit background density.
 
-    One vortex line runs along direction 1 below the midplane, the other
-    along direction 2 above it; the combined field is the pointwise product
-    of the two single-vortex fields ``f(r) exp(i*theta)``.
+    One vortex line runs along direction 1 at distance 2 below the
+    midplane, the other along direction 2 at distance 2 above it; the
+    combined field is the pointwise product of the two single-vortex fields
+    ``f(r) exp(i*theta)`` (see :func:`_vortex_radial`).
     """
     x1 = grids[0].points[:, None, None]
     x2 = grids[1].points[None, :, None]
     x3 = grids[2].points[None, None, :]
-    delta = profile.offset
+    delta = 2.0
 
     r_a = np.sqrt(x2**2 + (x3 + delta) ** 2)
-    psi_a = profile.radial(r_a) * np.exp(1j * np.arctan2(x3 + delta, x2))
+    psi_a = _vortex_radial(r_a) * np.exp(1j * np.arctan2(x3 + delta, x2))
     r_b = np.sqrt((x3 - delta) ** 2 + x1**2)
-    psi_b = profile.radial(r_b) * np.exp(1j * np.arctan2(x1, x3 - delta))
+    psi_b = _vortex_radial(r_b) * np.exp(1j * np.arctan2(x1, x3 - delta))
     return np.asfortranarray(psi_a * psi_b)
 
 

@@ -164,11 +164,11 @@ def mu_mode_product(u, mat, mu):
 def tucker(u, mats):
     """Apply one matrix per direction: ``u x_1 mats[0] x_2 ... x_d mats[d-1]``.
 
-    ``None`` entries are skipped.  A 1-D entry of length ``n_mu`` stands for
-    the diagonal matrix with that diagonal: the dense entries go through
-    :func:`mu_mode_product` first, in ascending direction order, and the
-    diagonal ones then scale the result in place, all in one multiply
-    (``u`` itself is copied first, never written).  :func:`count_flops`
+    Each entry is an ``m x n_mu`` matrix or a 1-D vector of length ``n_mu``,
+    which stands for the diagonal matrix with that diagonal: the dense
+    entries go through :func:`mu_mode_product` first, in ascending direction
+    order, and the diagonal ones then scale the result in place, all in one
+    multiply (``u`` itself is copied first, never written).  :func:`count_flops`
     counts no ``macs`` for scalings, but the whole call in ``mode_s``.
     Distinct directions commute, so the fixed order is a reproducibility
     choice, not a mathematical one.  The result is Fortran-ordered and has
@@ -178,17 +178,15 @@ def tucker(u, mats):
     applied while its axis is the fastest in memory, as direction d of the
     tensor with its axes cycled; each product's output has the next
     direction fastest, and after d products the layout is Fortran again.
-    Dense entries after a skipped or diagonal slot are applied in their own
-    direction, and a layout left cycled is copied back to Fortran order.
+    Dense entries after a diagonal one are applied in their own direction,
+    and a layout left cycled is copied back to Fortran order.
     """
     start = perf_counter()
     u = np.asarray(u)
     if len(mats) != u.ndim:
         raise ShapeError(f"expected {u.ndim} matrix slots, got {len(mats)}")
-    mats = [None if mat is None else np.asarray(mat) for mat in mats]
+    mats = [np.asarray(mat) for mat in mats]
     for mu, mat in enumerate(mats, start=1):
-        if mat is None:
-            continue
         n_mu = u.shape[mu - 1]
         if mat.shape != (n_mu,) and (mat.ndim != 2 or mat.shape[1] != n_mu):
             raise ShapeError(
@@ -198,7 +196,7 @@ def tucker(u, mats):
     cycle = (*range(1, u.ndim), 0)
     out, cycled = u, 0
     for mu, mat in enumerate(mats, start=1):
-        if mat is None or mat.ndim != 2:
+        if mat.ndim != 2:
             continue
         if cycled == mu - 1:
             out = mu_mode_product(out.transpose(cycle), mat, u.ndim)
@@ -207,7 +205,7 @@ def tucker(u, mats):
             out = mu_mode_product(_uncycle(out, cycled), mat, mu)
             cycled = 0
     out = np.asarray(_uncycle(out, cycled), order="F")
-    diagonals = [(ax, v) for ax, v in enumerate(mats) if v is not None and v.ndim == 1]
+    diagonals = [(ax, v) for ax, v in enumerate(mats) if v.ndim == 1]
     if diagonals:
         dtype = np.result_type(out, *(v for _, v in diagonals))
         if out is u or out.dtype != dtype:
@@ -237,41 +235,31 @@ def _along(ax, v, ndim):
     return v.reshape((1,) * ax + (v.size,) + (1,) * (ndim - ax - 1))
 
 
-def _mode_vectors(u, vectors):
-    """``vectors`` as arrays, one per direction of ``u`` and as long as it (else ShapeError)."""
+def scale_modes(u, vectors):
+    """``u`` times the outer product of one vector per direction.
+
+    ``vectors[mu-1]`` scales direction mu and must be as long as it
+    (:class:`ShapeError`).  The result is a Fortran-ordered copy of ``u`` in
+    the result dtype, multiplied by one direction at a time in ascending
+    order, in place.
+    """
+    u = np.asarray(u)
     if len(vectors) != u.ndim:
         raise ShapeError(f"expected {u.ndim} vectors, got {len(vectors)}")
-    out = [np.asarray(v) for v in vectors]
-    for mu, v in enumerate(out, start=1):
+    vectors = [np.asarray(v) for v in vectors]
+    for mu, v in enumerate(vectors, start=1):
         if v.shape != (u.shape[mu - 1],):
             raise ShapeError(
                 f"direction {mu}: vector of shape {v.shape} does not match extent {u.shape[mu - 1]}"
             )
-    return out
-
-
-def scale_modes(u, vectors):
-    """``u`` times the outer product of one vector per direction.
-
-    ``vectors[mu-1]`` scales direction mu.  The result is a Fortran-ordered
-    copy of ``u`` in the result dtype, multiplied by one direction at a
-    time in ascending order, in place.
-    """
-    u = np.asarray(u)
-    vectors = _mode_vectors(u, vectors)
     out = np.array(u, dtype=np.result_type(u, *vectors), order="F")
     for ax, v in enumerate(vectors):
         out *= _along(ax, v, u.ndim)
     return out
 
 
-def norm(u, kind="two", weights=None):
-    """Tensor norm: ``max`` entry modulus, Euclidean ``two``, or ``weighted_two``.
-
-    For ``weighted_two``, ``weights`` is one positive vector per direction and
-    the result is ``sqrt(sum_i w(i) |u(i)|^2)`` with ``w(i)`` the product of
-    the per-direction weights.
-    """
+def norm(u, kind="two"):
+    """Tensor norm: the ``max`` entry modulus or the Euclidean ``two`` norm."""
     u = np.asarray(u)
     if kind == "max":
         if u.dtype.kind == "f":
@@ -281,12 +269,4 @@ def norm(u, kind="two", weights=None):
         return float(np.max(np.abs(u)))
     if kind == "two":
         return float(np.linalg.norm(u.ravel(order="K")))
-    if kind == "weighted_two":
-        if weights is None:
-            raise ConfigurationError("weighted_two norm requires per-direction weights")
-        wvecs = _mode_vectors(u, weights)
-        acc = np.abs(u) ** 2
-        for w in reversed(wvecs):
-            acc = acc @ np.asarray(w, dtype=float)
-        return float(np.sqrt(acc))
     raise ConfigurationError(f"unknown norm kind {kind!r}")

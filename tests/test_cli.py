@@ -159,6 +159,17 @@ class TestParse:
             parse_args(argv)
         assert info.value.code == 2
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["heat", "--ste", "3"], "--ste"),
+        (["schrodinger-td", "--ref", "0"], "--ref"),
+        (["gpe", "--p", "4"], "--p"),
+    ])
+    def test_abbreviated_flag_exits_2(self, argv, flag, capsys):
+        with pytest.raises(SystemExit) as info:
+            parse_args(argv)
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
     def test_threads_env_fallback(self, monkeypatch):
         monkeypatch.setenv("KRONMODE_THREADS", "1")
         assert parse_args(["heat"]).threads == 1

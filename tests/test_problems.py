@@ -16,10 +16,9 @@ from kronmode.errors import (
     ShapeError,
 )
 from kronmode.fd import heat_factors, pipeflow_factors, pipeflow_grids, uniform_periodic_grid
-from kronmode.hermite import forward_transform, harmonic_eigenvalues, hermite_basis
+from kronmode.hermite import forward_transform, hermite_basis
 from kronmode.kron import KroneckerOp, prepare, step
 from kronmode.problems import (
-    VortexProfile,
     gpe_run,
     gpe_setup,
     gpe_strang_step,
@@ -36,6 +35,7 @@ from kronmode.problems import (
     vortex_pair_state,
 )
 from kronmode.tensor import norm
+from oracles import harmonic_eigenvalues, harmonic_factors
 
 
 class TestRelativeError:
@@ -198,12 +198,11 @@ class TestPipeflow:
 
 class TestHkp:
     def test_coefficient_norm_conserved(self):
-        _, c0, c_t = hermite_solve(24, ti_factors())
+        _, c0, c_t = hermite_solve(24, ti_factors)
         assert abs(norm(c_t, "two") - norm(c0, "two")) <= 1e-12 * norm(c0, "two")
 
     def test_harmonic_only_matches_diagonal_phases(self):
-        harmonic = (lambda x: 0.5 * x * x,) * 3
-        _, c0, c_t = hermite_solve(16, ti_factors(harmonic), T=1.0)
+        _, c0, c_t = hermite_solve(16, harmonic_factors, T=1.0)
         phases = np.exp(-1j * harmonic_eigenvalues((16, 16, 16)) * 1.0)
         assert np.abs(c_t - phases * c0).max() <= 1e-12 * np.abs(c0).max()
 
@@ -212,8 +211,8 @@ class TestHkp:
         # Directions 2 and 3 are harmonic, so exactly diagonal: their
         # exponentials are vectors, applied as scalings next to a dense one.
         k, T = 12, 0.7
-        basis, c0, got = hermite_solve(k, ti_factors(), T, dtype=dtype)
-        factors = ti_factors()(basis)(0.0)
+        basis, c0, got = hermite_solve(k, ti_factors, T, dtype=dtype)
+        factors = ti_factors(basis)(0.0)
         want = step(prepare(KroneckerOp(factors), T, dtype), kron._cast(c0, dtype))
         assert got.dtype == want.dtype == (np.complex64 if dtype == np.float32 else np.complex128)
         assert np.array_equal(got, want)
@@ -454,9 +453,8 @@ class TestGpe:
         assert abs(abs(psi[0, 0, 0])) == pytest.approx(1.0, abs=2e-2)
 
     def test_vortex_profile_rises_to_background(self):
-        profile = VortexProfile()
         r = np.linspace(0.0, 30.0, 200)
-        f = profile.radial(r)
+        f = problems._vortex_radial(r)
         assert f[0] == 0.0
         gaps = np.diff(f)
         assert (gaps[r[:-1] < 5.0] > 0).all()  # monotone through the core
