@@ -9,7 +9,6 @@ import argparse
 import contextlib
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -31,7 +30,6 @@ CSV_COLUMNS = (
 )
 
 _SWEEPABLE = ("heat", "pipeflow", "schrodinger-ti", "schrodinger-td", "gpe")
-_PASSED_ON = ("p", "T", "steps", "tau", "k_ref", "ref_steps")  # sweep options for its problem
 
 
 def _int(text):
@@ -96,9 +94,6 @@ def _int_list(text):
 def _add_common(sub):
     sub.add_argument("--precision", choices=("single", "double"), default="double",
                      help="scalar precision of the run (default: double)")
-    sub.add_argument("--norm", choices=("max", "two"), default="max",
-                     help="norm for the reported relative error (default: max); "
-                          "ignored by gpe, which reports the drift of the weighted two-norm")
     sub.add_argument("--output", choices=("csv", "json", "table"), default="table",
                      help="report format (default: table)")
     sub.add_argument("--out", dest="out_path", default=None, metavar="PATH",
@@ -144,6 +139,10 @@ def build_parser():
                      help="reference step count for the error (0 disables)")
     _add_common(std)
 
+    for command in (heat, pipe, sti, std):  # gpe reports the drift of the weighted two-norm
+        command.add_argument("--norm", choices=("max", "two"), default="max",
+                             help="norm for the reported relative error (default: max)")
+
     gpe = sub.add_parser("gpe", help="Gross-Pitaevskii vortex pair with Strang splitting")
     gpe.add_argument("--n", type=_positive_int, default=32, help="grid points per direction")
     gpe.add_argument("--T", type=_positive_float, default=2.5, help="final time")
@@ -152,60 +151,51 @@ def build_parser():
                           "equal steps of T/steps")
     _add_common(gpe)
 
-    sweep = sub.add_parser("sweep", help="run one problem over a list of resolutions")
+    sweep = sub.add_parser("sweep", help="run one problem over a list of resolutions; every "
+                                         "other flag goes to the problem's own command "
+                                         "(see kronmode <problem> -h)")
     sweep.add_argument("--problem", choices=_SWEEPABLE, required=True)
     sweep.add_argument("--n", dest="n_list", type=_int_list, default=[],
                        help="comma-separated grid sizes (grid-based problems)")
     sweep.add_argument("--k", dest="k_list", type=_int_list, default=[],
                        help="comma-separated basis sizes (Hermite problems)")
-    # Left unset, these take the default of the swept problem's own command.
-    sweep.add_argument("--p", type=_accuracy_order, default=None)
-    sweep.add_argument("--T", type=_positive_float, default=None)
-    sweep.add_argument("--steps", type=_positive_int, default=None)
-    sweep.add_argument("--tau", type=_positive_float, default=None)
-    sweep.add_argument("--k-ref", dest="k_ref", type=_nonnegative_int, default=None)
-    sweep.add_argument("--ref-steps", dest="ref_steps", type=_nonnegative_int, default=None)
-    _add_common(sweep)
 
     selftest = sub.add_parser("selftest", help="run the built-in oracle equivalence checks")
     selftest.add_argument("--seed", type=int, default=1234,
                           help="seed for the randomized checks (default: 1234)")
 
-    for command in sub.choices.values():
+    for name, command in sub.choices.items():
         command.allow_abbrev = False  # an abbreviated flag is an unrecognized one
-        command.add_argument("--threads", type=_thread_count, default=None,
-                             help="thread count of both OpenBLAS pools (numpy's and scipy's) "
-                                  "for the duration of the run; restored afterwards "
-                                  "(default: KRONMODE_THREADS, else left as they are)")
+        if name != "sweep":  # sweep hands it to the problem's command
+            command.add_argument("--threads", type=_thread_count, default=None,
+                                 help="thread count of both OpenBLAS pools (numpy's and "
+                                      "scipy's) for the duration of the run; restored "
+                                      "afterwards (default: left as they are)")
     return parser
 
 
 def parse_args(argv):
     """Parse and validate into a namespace; exits with code 2 on usage errors.
 
-    An unset ``--threads`` takes ``KRONMODE_THREADS`` if that is set.
+    ``sweep`` reads ``--problem``, ``--n`` and ``--k`` and hands every other
+    argument to the swept problem's own command, whose parser supplies the
+    defaults and rejects a flag that command does not take.  A sweep's
+    namespace is that command's with the sweep's own settings over it.
     """
     parser = build_parser()
-    cfg = parser.parse_args(argv)
-    if cfg.threads is None:
-        env = os.environ.get("KRONMODE_THREADS")
-        if env is not None:
-            try:
-                cfg.threads = _thread_count(env)
-            except argparse.ArgumentTypeError as exc:
-                parser.error(f"KRONMODE_THREADS: {exc}")
-    if cfg.command == "sweep":
-        own = vars(parser.parse_args([cfg.problem]))  # the options its command takes
-        given = {"n": cfg.n_list, "k": cfg.k_list}
-        given.update((name, getattr(cfg, name)) for name in _PASSED_ON)
-        swept = "n" if "n" in own else "k"  # grid-based problems, else Hermite ones
-        if not given[swept]:
-            parser.error(f"sweep over {cfg.problem} needs --{swept} with at least one value")
-        foreign = ["--" + name.replace("_", "-") for name, value in given.items()
-                   if value not in (None, []) and name not in own]
-        if foreign:
-            parser.error(f"sweep over {cfg.problem} does not take {', '.join(foreign)}")
-    return cfg
+    cfg, rest = parser.parse_known_args(argv)
+    if cfg.command != "sweep":
+        if rest:
+            parser.error(f"unrecognized arguments: {' '.join(rest)}")
+        return cfg
+    own = parser.parse_args([cfg.problem, *rest])
+    swept, foreign = ("n", "k") if "n" in vars(own) else ("k", "n")  # grid-based, else Hermite
+    if getattr(cfg, f"{foreign}_list"):
+        parser.error(f"sweep over {cfg.problem} does not take --{foreign}")
+    if not getattr(cfg, f"{swept}_list"):
+        parser.error(f"sweep over {cfg.problem} needs --{swept} with at least one value")
+    vars(own).update(vars(cfg))
+    return own
 
 
 def _execute_single(cfg):
@@ -229,16 +219,10 @@ def _execute_single(cfg):
 
 
 def _execute_sweep(cfg):
-    base = parse_args([cfg.problem])  # the problem command's own defaults
-    for name in _PASSED_ON + ("precision", "norm"):
-        value = getattr(cfg, name)
-        if value is not None:
-            setattr(base, name, value)
     reports = []
     swept = "n" if cfg.n_list else "k"  # parse_args lets only the problem's own list through
     for value in getattr(cfg, f"{swept}_list"):
-        entry = argparse.Namespace(**vars(base))
-        setattr(entry, swept, value)
+        entry = argparse.Namespace(**{**vars(cfg), "command": cfg.problem, swept: value})
         reports.append(_execute_single(entry))
     return reports
 

@@ -447,16 +447,16 @@ class _PhaseRotation:
         psi *= self.factor
 
 
-def gpe_strang_step(linear_cache, weights, psi, tau, steps=1):
-    """``steps`` Strang steps in the weighted variables.
+def gpe_strang_step(linear_cache, weights, psi, steps=1):
+    """``steps`` Strang steps of length ``linear_cache.tau`` in the weighted variables.
 
     Each step is a half step of the exact pointwise nonlinear flow, a full
-    linear step via the mode-wise propagator (``linear_cache`` must be
-    prepared with the same ``tau``) and a half step of the nonlinear flow
-    again.  The closing half step of one step and the opening one of the
-    next are merged into one full nonlinear step, which is exact up to
-    rounding because the flow leaves ``|psi|`` unchanged.  The result keeps
-    the precision of ``psi`` and the cache; ``psi`` itself is not modified.
+    linear step via the mode-wise propagator and a half step of the
+    nonlinear flow again.  The closing half step of one step and the
+    opening one of the next are merged into one full nonlinear step, which
+    is exact up to rounding because the flow leaves ``|psi|`` unchanged.
+    The result keeps the precision of ``psi`` and the cache; ``psi`` itself
+    is not modified.
     """
     _check_steps(steps)
     psi = np.asarray(psi)
@@ -466,6 +466,7 @@ def gpe_strang_step(linear_cache, weights, psi, tau, steps=1):
     rotate = _PhaseRotation(weights, psi.shape, dtype)
     # Every array rotated in place below is this copy or a fresh output of step.
     psi = np.array(psi, dtype=dtype, order="F")
+    tau = linear_cache.tau
     rotate(psi, 0.5 * tau)
     for s in range(steps):
         psi = step(linear_cache, psi)
@@ -495,7 +496,7 @@ def gpe_run(n, T=2.5, tau=0.1, precision="double"):
                     run.dtype)
         cache = prepare(linear_op, run.tau, psi.dtype)
         norm0 = _two_norm64(psi)
-        psi = gpe_strang_step(cache, weights, psi, run.tau, steps=run.steps)
+        psi = gpe_strang_step(cache, weights, psi, steps=run.steps)
     return run.report("gpe", psi, lambda psi: abs(_two_norm64(psi) - norm0) / norm0,
                       "weighted_two", n=n)
 

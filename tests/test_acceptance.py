@@ -275,7 +275,7 @@ def test_criterion_8_gpe_properties():
     start = psi.copy()
     cache = prepare(lin_op, 0.1)
     for _ in range(10):
-        psi = gpe_strang_step(cache, weights, psi, 0.1)
+        psi = gpe_strang_step(cache, weights, psi)
     stationary = float(np.abs(psi - start).max() / np.abs(start).max())
 
     grids, lin_op, weights = gpe_setup(8)
@@ -290,7 +290,7 @@ def test_criterion_8_gpe_properties():
         cache = prepare(lin_op, tau)
         state = psi0
         for _ in range(steps):
-            state = gpe_strang_step(cache, weights, state, tau)
+            state = gpe_strang_step(cache, weights, state)
         return state
 
     reference = evolve(1000)

@@ -1,6 +1,8 @@
+import argparse
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +12,7 @@ import pytest
 
 import kronmode
 from kronmode import blas, problems
-from kronmode.cli import CSV_COLUMNS, main, parse_args, run
+from kronmode.cli import CSV_COLUMNS, build_parser, main, parse_args, run
 
 GOLDEN_HEADER = ("problem,n,k,p,steps,tau,precision,norm,rel_error,"
                  "time_exp_s,time_mumode_s,time_other_s,total_s")
@@ -75,6 +77,17 @@ def _non_timing(payload):
     return {key: value for key, value in payload.items() if key not in TIMING_FIELDS}
 
 
+# Command-line values other than the default, by the type of the flag.
+_SAMPLES = {"_positive_int": ["3"], "_nonnegative_int": ["0", "3"], "_positive_float": ["0.5"],
+            "_accuracy_order": ["4", "inf"], "_thread_count": ["1"], None: ["report.csv"]}
+
+
+def _sample_values(action):
+    if action.choices:
+        return [choice for choice in action.choices if choice != action.default]
+    return _SAMPLES[getattr(action.type, "__name__", None)]
+
+
 def _run_capture(argv, capsys):
     code = run(parse_args(argv))
     out = capsys.readouterr().out
@@ -122,6 +135,7 @@ class TestParse:
         cfg = parse_args(["sweep", "--problem", "heat", "--n", "40,55,70,85,100"])
         assert cfg.problem == "heat"
         assert cfg.n_list == [40, 55, 70, 85, 100]
+        assert (cfg.p, cfg.T, cfg.steps, cfg.norm) == (2, 1.0, 1, "max")  # heat's defaults
 
     def test_sweep_without_values_exits_2(self):
         with pytest.raises(SystemExit) as info:
@@ -136,15 +150,47 @@ class TestParse:
         (["--problem", "schrodinger-ti", "--k", "8", "--ref-steps", "4"], "--ref-steps"),
         (["--problem", "heat", "--n", "16", "--k", "8,9"], "--k"),
         (["--problem", "schrodinger-td", "--k", "8", "--n", "16"], "--n"),
+        (["--problem", "gpe", "--n", "16", "--norm", "two"], "--norm"),
     ])
     def test_sweep_flag_its_problem_does_not_take_exits_2(self, argv, flag, capsys):
         with pytest.raises(SystemExit) as info:
             parse_args(["sweep"] + argv)
         assert info.value.code == 2
-        assert f"does not take {flag}" in capsys.readouterr().err
+        assert flag in capsys.readouterr().err.splitlines()[-1].split()
 
-    def test_sweep_passes_norm_to_gpe(self):
-        assert parse_args(["sweep", "--problem", "gpe", "--n", "16", "--norm", "two"]).norm == "two"
+    def test_every_problem_flag_parses_alike_through_sweep(self):
+        # sweep hands each problem flag to the problem's own parser, so a
+        # new problem flag needs no second declaration to be swept
+        (commands,) = [action.choices for action in build_parser()._actions
+                       if isinstance(action, argparse._SubParsersAction)]
+        sweep_only = {"command", "problem", "n_list", "k_list"}
+        checked = 0
+        for problem in commands["sweep"]._option_string_actions["--problem"].choices:
+            swept = "--n" if "--n" in commands[problem]._option_string_actions else "--k"
+            for action in commands[problem]._actions:
+                flag = action.option_strings[-1]
+                if flag in ("--help", "--n", "--k"):
+                    continue
+                for value in _sample_values(action):
+                    single = vars(parse_args([problem, flag, value]))
+                    swept_cfg = vars(parse_args(["sweep", "--problem", problem, swept, "8",
+                                                 flag, value]))
+                    assert single[action.dest] != action.default, (problem, flag, value)
+                    single.pop("command")
+                    assert {k: v for k, v in swept_cfg.items() if k not in sweep_only} == single, \
+                        (problem, flag, value)
+                    checked += 1
+        assert checked >= 40
+
+    def test_readme_command_lines_parse(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        lines = block.splitlines()
+        assert len(lines) >= 7
+        for line in lines:
+            program, *argv = shlex.split(line)
+            assert program == "kronmode"
+            parse_args(argv)
 
     @pytest.mark.parametrize("argv", [
         ["selftest", "--out", "report.csv"],
@@ -153,16 +199,19 @@ class TestParse:
         ["selftest", "--norm", "two"],
         ["heat", "--seed", "1"],
         ["sweep", "--problem", "heat", "--n", "16", "--seed", "1"],
+        ["gpe", "--n", "16", "--norm", "two"],  # gpe reports the weighted two-norm drift
     ])
-    def test_flag_the_command_does_not_read_exits_2(self, argv):
+    def test_flag_the_command_does_not_read_exits_2(self, argv, capsys):
         with pytest.raises(SystemExit) as info:
             parse_args(argv)
         assert info.value.code == 2
+        assert argv[-2] in capsys.readouterr().err.splitlines()[-1].split()
 
     @pytest.mark.parametrize("argv, flag", [
         (["heat", "--ste", "3"], "--ste"),
         (["schrodinger-td", "--ref", "0"], "--ref"),
         (["gpe", "--p", "4"], "--p"),
+        (["sweep", "--problem", "heat", "--n", "8", "--ste", "3"], "--ste"),
     ])
     def test_abbreviated_flag_exits_2(self, argv, flag, capsys):
         with pytest.raises(SystemExit) as info:
@@ -170,27 +219,14 @@ class TestParse:
         assert info.value.code == 2
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
-    def test_threads_env_fallback(self, monkeypatch):
-        monkeypatch.setenv("KRONMODE_THREADS", "1")
-        assert parse_args(["heat"]).threads == 1
-        monkeypatch.setenv("KRONMODE_THREADS", "zero")
+    def test_threads_above_openblas_maximum_exits_2(self):
         with pytest.raises(SystemExit) as info:
-            parse_args(["heat"])
+            parse_args(["heat", "--threads", str(blas.max_threads() + 1)])
         assert info.value.code == 2
 
-    def test_threads_above_openblas_maximum_exits_2(self, monkeypatch):
-        too_many = str(blas.max_threads() + 1)
-        with pytest.raises(SystemExit) as info:
-            parse_args(["heat", "--threads", too_many])
-        assert info.value.code == 2
-        monkeypatch.setenv("KRONMODE_THREADS", too_many)
-        with pytest.raises(SystemExit) as info:
-            parse_args(["heat"])
-        assert info.value.code == 2
-
-    def test_threads_flag_beats_env(self, monkeypatch):
+    def test_threads_take_no_environment_fallback(self, monkeypatch):
         monkeypatch.setenv("KRONMODE_THREADS", "4")
-        assert parse_args(["heat", "--threads", "2"]).threads == 2
+        assert parse_args(["heat"]).threads is None
 
 
 class TestRun:

@@ -1,10 +1,11 @@
+import math
 import struct
 import threading
 from contextlib import nullcontext
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -15,6 +16,20 @@ from oracles import kron_vec_apply, loop_mu_mode
 
 
 shapes = st.lists(st.integers(1, 4), min_size=1, max_size=4).map(tuple)
+
+
+def _real_arrays(single):
+    """float32 or float64 arrays, specials included, with an even last extent."""
+    specials = st.sampled_from([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf])
+    elements = st.floats(width=32 if single else 64) | specials
+    even_shapes = hnp.array_shapes(max_dims=3, min_side=1, max_side=4).map(
+        lambda shape: shape[:-1] + (2 * shape[-1],))
+    return hnp.arrays(np.float32 if single else np.float64, even_shapes, elements=elements)
+
+
+# Quiet NaNs with payload 1: on their strided view ``norm`` and
+# ``np.max(np.abs(...))`` return NaNs with different bits.
+_PAYLOAD_NANS = np.full(8, 0x7FF8000000000001, dtype=np.uint64).view(np.float64)
 
 
 class TestMuModeProduct:
@@ -251,18 +266,19 @@ class TestNorm:
         assert norm(u, "two") == 3.0
 
     @settings(max_examples=150, deadline=None)
-    @given(data=st.data(), single=st.booleans(),
+    @given(base=st.booleans().flatmap(_real_arrays),
            layout=st.sampled_from(["F", "C", "strided", "reversed"]))
-    def test_max_of_a_real_tensor_is_bitwise_max_abs(self, data, single, layout):
-        dtype = np.float32 if single else np.float64
-        specials = st.sampled_from([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf])
-        elements = st.floats(width=32 if single else 64) | specials
-        shape = data.draw(hnp.array_shapes(max_dims=3, min_side=1, max_side=4))
-        base = data.draw(hnp.arrays(dtype, shape[:-1] + (2 * shape[-1],), elements=elements))
+    @example(base=_PAYLOAD_NANS, layout="strided")
+    def test_max_of_a_real_tensor_is_bitwise_max_abs(self, base, layout):
         u = {"F": np.asfortranarray(base[..., ::2]), "C": np.ascontiguousarray(base[..., ::2]),
              "strided": base[..., ::2], "reversed": base[..., ::-2]}[layout]
         want = float(np.max(np.abs(u)))
-        assert struct.pack("<d", norm(u, "max")) == struct.pack("<d", want)
+        got = norm(u, "max")
+        if math.isnan(want):
+            # A NaN entry makes the norm NaN; which NaN's bits it keeps is unspecified.
+            assert math.isnan(got)
+        else:
+            assert struct.pack("<d", got) == struct.pack("<d", want)
 
     def test_max_of_a_complex_tensor_is_its_largest_modulus(self):
         u = np.array([[3.0 - 4.0j, -1.0], [0.5j, -0.0]], order="F")
