@@ -9,6 +9,7 @@ dense ``M`` is never formed.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 from time import perf_counter
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigurationError, InvalidInputError, ShapeError
 from .linalg import matexp
-from .tensor import _active_counters, mu_mode_product, tucker
+from .tensor import _active_counters, _lent_pair, _output_pair, mu_mode_product, tucker
 
 __all__ = ["KroneckerOp", "PropagatorCache", "matvec", "prepare", "step"]
 
@@ -172,11 +173,21 @@ def step(cache, u, steps=1):
     whose generator is the Kronecker sum the cache was prepared from.
     Factors are applied in ascending direction order; any order gives the
     same result because the factor exponentials commute.
+
+    With ``steps > 1`` and a dense first factor, the call owns two buffers
+    of the result's size and dtype, which its products write in turn; the
+    result is a view of the last one written, and ``u`` is not modified.  A
+    single step owns none: its products write into a pair its caller lent
+    (as :func:`kronmode.problems.gpe_strang_step` does) or into new arrays.
     """
     _check_steps(steps)
     u = np.asarray(u)
     if u.shape != cache.shape:
         raise ShapeError(f"tensor shape {u.shape} does not match cache shape {cache.shape}")
-    for _ in range(steps):
-        u = tucker(u, cache.exps)
+    # tucker's products write into a pair only in the chain of cycled
+    # products that starts with a dense direction 1.
+    lend = steps > 1 and cache.exps[0].ndim == 2 and not _lent_pair.get()
+    with _output_pair(u.size, np.result_type(u, *cache.exps)) if lend else nullcontext():
+        for _ in range(steps):
+            u = tucker(u, cache.exps)
     return u

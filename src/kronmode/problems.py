@@ -45,7 +45,7 @@ from .hermite import (
 from .kron import KroneckerOp, _cast, _check_steps, _exponentials, prepare, step
 from .krylov import _expmv_reference
 from .tensor import norm as tensor_norm
-from .tensor import count_flops, scale_modes, tucker
+from .tensor import _output_pair, count_flops, scale_modes, tucker
 
 __all__ = [
     "RunReport",
@@ -170,11 +170,12 @@ def heat3d_run(n, p=2, T=1.0, steps=1, norm_kind="max", precision="double"):
     depend on the norm choice.
 
     Working memory, counted in full states (``n**3`` doubles): the setup
-    builds ``u0`` in Fortran order, one state.  The run holds four: ``u0``,
-    the step input and two product outputs.  The reference ``exp(-T) u0``
-    then overwrites ``u0``, which nothing reads after the run, and the error
-    check holds three: the reference, the result and their difference.  So
-    the run sets the peak.
+    builds ``u0`` in Fortran order, one state.  The run holds three: ``u0``
+    and the two buffers that :func:`kronmode.kron.step` owns and its products
+    write in turn (a single step holds ``u0`` and two product outputs).  The
+    reference ``exp(-T) u0`` then overwrites ``u0``, which nothing reads
+    after the run, and the error check holds three too: the reference, the
+    result and their difference.
     """
     if n < 8:
         raise ConfigurationError(f"the heat run needs n >= 8, got {n}")
@@ -183,7 +184,7 @@ def heat3d_run(n, p=2, T=1.0, steps=1, norm_kind="max", precision="double"):
         cos = np.cos(uniform_periodic_grid(0.0, 2 * np.pi, n).points)
         u0 = np.add(cos[:, None, None] + cos[None, :, None], cos[None, None, :], order="F")
         u = run.exact(heat_factors(n, p), u0)
-    u0 *= np.exp(-T)  # the reference; u is a new array, as tucker returns for dense factors
+    u0 *= np.exp(-T)  # the reference; the result of step never shares memory with u0
     return run.report("heat", u, lambda u: relative_error(u, u0, norm_kind), norm_kind,
                       n=n, p=float(p))
 
@@ -456,7 +457,9 @@ def gpe_strang_step(linear_cache, weights, psi, steps=1):
     opening one of the next are merged into one full nonlinear step, which
     is exact up to rounding because the flow leaves ``|psi|`` unchanged.
     The result keeps the precision of ``psi`` and the cache; ``psi`` itself
-    is not modified.
+    is not modified.  The loop owns two buffers, the working copy of
+    ``psi`` and a spare, which the linear steps' products write in turn;
+    the result is a view of one of them.
     """
     _check_steps(steps)
     psi = np.asarray(psi)
@@ -464,13 +467,16 @@ def gpe_strang_step(linear_cache, weights, psi, steps=1):
         raise ShapeError(f"state shape {psi.shape} does not match cache shape {linear_cache.shape}")
     dtype = np.result_type(psi.dtype, np.complex64, *linear_cache.exps)
     rotate = _PhaseRotation(weights, psi.shape, dtype)
-    # Every array rotated in place below is this copy or a fresh output of step.
-    psi = np.array(psi, dtype=dtype, order="F")
     tau = linear_cache.tau
-    rotate(psi, 0.5 * tau)
-    for s in range(steps):
-        psi = step(linear_cache, psi)
-        rotate(psi, tau if s < steps - 1 else 0.5 * tau)
+    with _output_pair(psi.size, dtype) as (work, _):
+        # Every array rotated in place below is a view of one of the pair.
+        work = work.reshape(psi.shape, order="F")
+        np.copyto(work, psi)
+        psi = work
+        rotate(psi, 0.5 * tau)
+        for s in range(steps):
+            psi = step(linear_cache, psi)
+            rotate(psi, tau if s < steps - 1 else 0.5 * tau)
     return psi
 
 

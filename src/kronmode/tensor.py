@@ -71,6 +71,39 @@ def count_flops():
         _active_counters.reset(token)
 
 
+# The pair of flat output buffers lent to the products run in the current
+# context (see :func:`_output_pair`); empty when none is lent.  It reaches
+# mu_mode_product here rather than as an ``out=`` parameter because the
+# benchmark's tracer (perfbench/spans.py) binds calls to ``(u, mat, mu)``.
+_lent_pair: ContextVar[tuple] = ContextVar("kronmode_output_pair", default=())
+
+
+@contextmanager
+def _output_pair(size, dtype):
+    """Lend two flat buffers of ``size`` entries of ``dtype`` for the block; yield them.
+
+    Every product in the layout :func:`tucker` passes whose result has that
+    size and dtype is written into the buffer that shares no memory with its
+    input, so a chain of products ping-pongs between the two.  The lender
+    owns both and keeps at most one result in them alive at a time.  The
+    block's end, or an exception, takes the pair back.
+    """
+    pair = (np.empty(size, dtype=dtype), np.empty(size, dtype=dtype))
+    token = _lent_pair.set(pair)
+    try:
+        yield pair
+    finally:
+        _lent_pair.reset(token)
+
+
+def _lent_output(u, shape, dtype):
+    """A lent buffer as a C-ordered ``shape`` array that shares no memory with ``u``, or None."""
+    for buf in _lent_pair.get():
+        if buf.size == prod(shape) and buf.dtype == dtype and not np.may_share_memory(buf, u):
+            return buf.reshape(shape)
+    return None
+
+
 def _check_direction(ndim, mu):
     if not isinstance(mu, (int, np.integer)):
         raise InvalidDirectionError(f"direction index must be an integer, got {mu!r}")
@@ -103,7 +136,9 @@ def mu_mode_product(u, mat, mu):
     ``u`` is read without a copy in Fortran order and in the layout
     :func:`tucker` passes: ``mu`` the last direction, its axis the fastest,
     the other axes in Fortran order (one multiplication).  Any other layout
-    is copied to Fortran order first.
+    is copied to Fortran order first.  In the layout :func:`tucker` passes,
+    the result goes into a buffer a stepper lends (see :func:`_output_pair`)
+    when one fits; every other result is a new array.
     """
     u = np.asarray(u)
     mat = np.asarray(mat)
@@ -137,7 +172,8 @@ def mu_mode_product(u, mat, mu):
             # passes): one multiplication against the F-ordered (n_mu, N/n_mu)
             # unfolding, whose C-ordered product is the F-ordered result.
             unfold = front.reshape((n_mu, -1), order="F").astype(out_dtype, copy=False)
-            return np.matmul(mat, unfold).T.reshape(out_shape, order="F")
+            out = _lent_output(u, (m, unfold.shape[1]), out_dtype)
+            return np.matmul(mat, unfold, out=out).T.reshape(out_shape, order="F")
 
     uf = u if u.flags.f_contiguous else np.asfortranarray(u)
     if uf.dtype != out_dtype:
@@ -180,6 +216,10 @@ def tucker(u, mats):
     direction fastest, and after d products the layout is Fortran again.
     Dense entries after a diagonal one are applied in their own direction,
     and a layout left cycled is copied back to Fortran order.
+
+    ``tucker`` owns no buffers.  With a pair lent by a stepper (see
+    :func:`_output_pair`), its cycled products alternate between the two
+    and the result is a view of one of them; otherwise it is a new array.
     """
     start = perf_counter()
     u = np.asarray(u)

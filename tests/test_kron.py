@@ -1,15 +1,19 @@
+import sys
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kronmode import kron
+from kronmode import kron, tensor
 from kronmode.errors import ConfigurationError, InvalidInputError, ShapeError
 from kronmode.fd import heat_factors
 from kronmode.kron import KroneckerOp, PropagatorCache, matvec, prepare, step
 from kronmode.linalg import matexp
-from kronmode.tensor import count_flops, mu_mode_product, norm
-from oracles import OracleSizeError, assemble_full
+from kronmode.tensor import count_flops, mu_mode_product, norm, tucker
+from oracles import OracleSizeError, assemble_full, kron_vec_apply
 
 
 def random_op(rng, dims, complex_factors=False):
@@ -274,6 +278,143 @@ class TestStep:
         cache = prepare(KroneckerOp((np.eye(2),)), 0.1)
         with pytest.raises(ConfigurationError):
             step(cache, np.ones(2), steps=steps)
+
+
+def unbuffered_steps(cache, u, steps):
+    """``steps`` products by ``tucker`` with no pair lent: every output a new array."""
+    assert tensor._lent_pair.get() == ()
+    for _ in range(steps):
+        u = tucker(u, cache.exps)
+    return u
+
+
+def buffer_case(seed, complex_factors, dtype, diagonal):
+    rng = np.random.default_rng(seed)
+    dims = (5, 6, 4)
+    op = random_op(rng, dims, complex_factors)
+    if diagonal:
+        op = KroneckerOp((op.factors[0], np.diag(np.diagonal(op.factors[1])), op.factors[2]))
+    cache = prepare(op, 0.05, dtype)
+    return cache, np.asfortranarray(rng.standard_normal(dims).astype(dtype))
+
+
+class TestStepBuffers:
+    """``step`` with several steps writes its products into two buffers it owns."""
+
+    @pytest.mark.parametrize("diagonal", [False, True])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("complex_factors", [False, True])
+    @pytest.mark.parametrize("steps", [2, 3, 7])
+    def test_steps_are_bit_identical_to_unbuffered_products(self, steps, complex_factors,
+                                                           dtype, diagonal):
+        cache, u = buffer_case(20, complex_factors, dtype, diagonal)
+        before = u.copy()
+        want = unbuffered_steps(cache, u, steps)
+        got = step(cache, u, steps=steps)
+        assert got.dtype == want.dtype and got.flags.f_contiguous
+        assert got.tobytes(order="F") == want.tobytes(order="F")
+        assert not np.shares_memory(got, u)
+        assert np.array_equal(u, before)
+        assert tensor._lent_pair.get() == ()
+
+    def test_results_of_separate_calls_share_no_memory(self):
+        cache, u = buffer_case(21, True, np.float64, False)
+        first = step(cache, u, steps=3)
+        kept = first.copy()
+        second = step(cache, u, steps=3)
+        third = step(cache, first, steps=2)
+        assert not np.shares_memory(first, second)
+        assert not np.shares_memory(first, third)
+        assert np.array_equal(first, kept)
+
+    def test_a_lent_pair_serves_the_products_of_single_steps(self):
+        cache, u = buffer_case(22, False, np.float64, False)
+        with tensor._output_pair(u.size, np.float64) as pair:
+            got = step(cache, u)
+            assert any(np.shares_memory(got, buf) for buf in pair)
+            got = step(cache, got)
+        assert got.tobytes(order="F") == unbuffered_steps(cache, u, 2).tobytes(order="F")
+
+    def test_matvec_and_a_rectangular_tucker_inside_a_lent_pair(self):
+        rng = np.random.default_rng(23)
+        op = random_op(rng, (2, 3, 4), complex_factors=True)
+        u = np.asfortranarray(rng.standard_normal((2, 3, 4)))
+        # Rectangular factors: the first two outputs have the pair's size,
+        # the third does not.
+        mats = [rng.standard_normal((3, 2)), rng.standard_normal((3, 3)),
+                rng.standard_normal((5, 4))]
+        with tensor._output_pair(u.size, np.complex128):
+            got = matvec(op, u)
+        want = assemble_full(op) @ u.ravel(order="F")
+        assert np.allclose(got.ravel(order="F"), want, rtol=1e-13, atol=1e-13)
+        with tensor._output_pair(3 * 3 * 4, np.float64):
+            got = tucker(u, mats)
+        assert got.shape == (3, 3, 5)
+        assert np.allclose(got.ravel(order="F"), kron_vec_apply(u, mats), rtol=1e-13,
+                           atol=1e-13)
+
+    def test_threads_stepping_at_once_each_get_their_own_result(self):
+        # More threads than cores and frequent switches: a pair lent to one
+        # thread must never serve another thread's products.
+        cases = [buffer_case(seed, True, np.float64, False) for seed in range(30, 34)]
+        wants = [unbuffered_steps(cache, u, 6) for cache, u in cases]
+        all_ready = threading.Barrier(len(cases), timeout=30)
+        results = [[] for _ in cases]
+
+        def run(i):
+            cache, u = cases[i]
+            all_ready.wait()
+            for _ in range(20):
+                results[i].append(step(cache, u, steps=6))
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(cases))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        for want, got in zip(wants, results):
+            assert len(got) == 20
+            assert all(g.tobytes(order="F") == want.tobytes(order="F") for g in got)
+
+    def test_a_diagonal_first_factor_takes_no_pair(self):
+        # tucker then applies every dense factor to a Fortran copy, which
+        # no product writes into the pair, so two buffers would be waste.
+        n = 48
+        rng = np.random.default_rng(27)
+        op = KroneckerOp((np.diag(rng.standard_normal(n)), rng.standard_normal((n, n)),
+                          np.diag(rng.standard_normal(n))))
+        cache = prepare(op, 0.01)
+        u = np.asfortranarray(rng.standard_normal((n, n, n)))
+        step(cache, u, steps=2)  # first-call caches stay out of the count
+        tracemalloc.start()
+        try:
+            step(cache, u, steps=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.25 * u.nbytes
+
+    def test_the_pair_is_released_when_a_product_raises(self, monkeypatch):
+        cache, u = buffer_case(26, False, np.float64, False)
+        product = tensor.mu_mode_product
+        calls = []
+
+        def failing_product(u, mat, mu):
+            calls.append(mu)
+            if len(calls) == 4:
+                raise RuntimeError("product failed")
+            return product(u, mat, mu)
+
+        monkeypatch.setattr(tensor, "mu_mode_product", failing_product)
+        with pytest.raises(RuntimeError, match="product failed"):
+            step(cache, u, steps=3)
+        assert tensor._lent_pair.get() == ()
 
 
 shapes = st.lists(st.integers(1, 5), min_size=1, max_size=3).map(tuple)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kronmode import kron, problems
+from kronmode import kron, problems, tensor
 from kronmode.errors import (
     ConfigurationError,
     InvalidInputError,
@@ -120,8 +120,8 @@ class TestHeat:
 
     @pytest.mark.parametrize("norm_kind", ["max", "two"])
     def test_the_run_sets_the_peak_memory(self, norm_kind):
-        # The run holds 4 states (u0, the step input and two product
-        # outputs); the setup and the error check must hold fewer.
+        # The run holds 3 states (u0 and the two buffers step owns); the
+        # setup and the error check must hold no more.
         heat3d_run(16, norm_kind=norm_kind)  # first-call caches stay out of the count
         tracemalloc.start()
         try:
@@ -129,7 +129,7 @@ class TestHeat:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 4.25 * 64**3 * np.dtype(np.float64).itemsize
+        assert peak <= 3.25 * 64**3 * np.dtype(np.float64).itemsize
 
     def test_exponential_seconds_count_as_exponential_time(self, monkeypatch):
         factor_exp = kron._factor_exp
@@ -385,6 +385,48 @@ class TestGpe:
             single = gpe_strang_step(cache, weights, single)
         assert np.array_equal(psi, before)
         assert np.abs(merged - single).max() <= 1e-13 * np.abs(single).max()
+
+    def test_results_own_their_memory(self):
+        rng = np.random.default_rng(4)
+        _, lin_op, weights = gpe_setup(12)
+        psi = np.asfortranarray(rng.standard_normal((12, 12, 12))
+                                + 1j * rng.standard_normal((12, 12, 12)))
+        before = psi.copy()
+        cache = prepare(lin_op, 0.1)
+        first = gpe_strang_step(cache, weights, psi, steps=3)
+        kept = first.copy()
+        second = gpe_strang_step(cache, weights, psi, steps=3)
+        third = gpe_strang_step(cache, weights, first)
+        assert np.array_equal(psi, before) and np.array_equal(first, kept)
+        for got in (first, second, third):
+            assert not np.shares_memory(got, psi)
+        assert not np.shares_memory(first, second)
+        assert not np.shares_memory(first, third)
+        assert tensor._lent_pair.get() == ()
+
+    def test_the_pair_is_released_when_a_step_raises(self, monkeypatch):
+        _, lin_op, weights = gpe_setup(8)
+        psi = np.ones((8, 8, 8), dtype=complex)
+
+        def failing_step(cache, u, steps=1):
+            raise RuntimeError("step failed")
+
+        monkeypatch.setattr(problems, "step", failing_step)
+        with pytest.raises(RuntimeError, match="step failed"):
+            gpe_strang_step(prepare(lin_op, 0.1), weights, psi, steps=2)
+        assert tensor._lent_pair.get() == ()
+
+    def test_the_run_holds_under_five_states(self):
+        # The caller's psi, the loop's two buffers, the rotation factor and
+        # 1/w (half a complex state): 4.5 states and small change.
+        gpe_run(16, T=0.2, tau=0.1)  # first-call caches stay out of the count
+        tracemalloc.start()
+        try:
+            gpe_run(32, T=0.4, tau=0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.8 * 32**3 * np.dtype(np.complex128).itemsize
 
     @pytest.mark.parametrize("steps", [0, -1, 1.0, 2.5, "2", True, None])
     def test_steps_must_be_a_positive_integer(self, steps):

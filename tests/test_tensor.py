@@ -1,3 +1,4 @@
+import inspect
 import math
 import struct
 import threading
@@ -30,6 +31,18 @@ def _real_arrays(single):
 # Quiet NaNs with payload 1: on their strided view ``norm`` and
 # ``np.max(np.abs(...))`` return NaNs with different bits.
 _PAYLOAD_NANS = np.full(8, 0x7FF8000000000001, dtype=np.uint64).view(np.float64)
+
+
+def test_mode_product_signature_is_the_one_the_tracer_binds():
+    # perfbench/spans.py binds every traced call's arguments to
+    # (u, mat, mu) to count its work, so a new parameter (an out= for the
+    # stepper's buffers, say) breaks the traced benchmark run, which CI runs
+    # and the tier-1 suite does not.
+    params = inspect.signature(mu_mode_product).parameters.values()
+    assert [(p.name, p.kind, p.default) for p in params] == [
+        (name, inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.empty)
+        for name in ("u", "mat", "mu")
+    ]
 
 
 class TestMuModeProduct:
