@@ -26,7 +26,6 @@ from .fd import (
     fd_weights,
     gpe_weighted_factors,
     heat_factors,
-    nonuniform_grid,
     pipeflow_factors,
     sinh_clustered_grid,
     uniform_grid,
@@ -40,7 +39,6 @@ from .hermite import (
     hermite_basis,
     hermite_eval,
     inverse_transform,
-    position_operator,
     potential_operator,
 )
 from .kron import KroneckerOp, PropagatorCache, matvec, prepare, step

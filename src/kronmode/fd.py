@@ -1,10 +1,10 @@
 """One-dimensional grids, finite-difference matrices and experiment factors.
 
-Boundary closures work through ghost nodes: periodic grids wrap indices,
-homogeneous Dirichlet drops the ghost contribution (the ghost value is zero),
-homogeneous Neumann reflects the ghost value evenly about the boundary node.
-All n grid points stay in the state regardless of the closure, which keeps
-the per-direction factors uniformly sized.
+A grid with a period wraps its indices.  A bounded grid closes each end
+through ghost nodes: homogeneous Dirichlet drops the ghost contribution (the
+ghost value is zero), homogeneous Neumann reflects the ghost value evenly
+about the boundary node.  All n grid points stay in the state regardless of
+the closure, which keeps the per-direction factors uniformly sized.
 """
 
 from __future__ import annotations
@@ -23,14 +23,11 @@ __all__ = [
     "Grid1D",
     "NEUMANN_BC",
     "NEUMANN_ZERO",
-    "PERIODIC",
-    "PERIODIC_BC",
     "diff_matrix",
     "fd_weights",
     "fourier_second_derivative",
     "gpe_weighted_factors",
     "heat_factors",
-    "nonuniform_grid",
     "pipeflow_factors",
     "pipeflow_grids",
     "pipeflow_velocity",
@@ -40,26 +37,20 @@ __all__ = [
     "uniform_periodic_grid",
 ]
 
-UNIFORM_PERIODIC = "uniform_periodic"
-UNIFORM = "uniform"
-NONUNIFORM = "nonuniform"
-
-PERIODIC = "periodic"
 DIRICHLET_ZERO = "dirichlet_zero"
 NEUMANN_ZERO = "neumann_zero"
-_BC_KINDS = (PERIODIC, DIRICHLET_ZERO, NEUMANN_ZERO)
 
 
 @dataclass(frozen=True)
 class Grid1D:
-    """Strictly increasing coordinates plus the grid kind.
+    """Strictly increasing coordinates; periodic exactly when ``period`` is given.
 
-    ``period`` is the interval length b - a for ``uniform_periodic`` grids,
-    whose points cover [a, b) with spacing (b - a)/n.
+    A periodic grid stands for n points equispaced over one period: its
+    stencils read only ``period`` and ``n``, with spacing ``period / n``.
+    The points of a bounded grid may be spaced arbitrarily.
     """
 
     points: np.ndarray
-    kind: str
     period: float | None = None
 
     def __post_init__(self):
@@ -68,41 +59,26 @@ class Grid1D:
             raise InvalidGridError("grid needs a one-dimensional list of points")
         if pts.size > 1 and not np.all(np.diff(pts) > 0):
             raise InvalidGridError("grid points must be strictly increasing")
-        if self.kind not in (UNIFORM_PERIODIC, UNIFORM, NONUNIFORM):
-            raise ConfigurationError(f"unknown grid kind {self.kind!r}")
-        if self.kind == UNIFORM_PERIODIC and (self.period is None or self.period <= 0):
-            raise ConfigurationError("periodic grids need a positive period")
+        if self.period is not None and not 0 < self.period < np.inf:
+            raise ConfigurationError(f"a period must be positive and finite, got {self.period!r}")
         object.__setattr__(self, "points", pts)
 
     @property
     def n(self):
         return self.points.size
 
-    @property
-    def spacing(self):
-        """Spacing h for the uniform kinds."""
-        if self.kind == UNIFORM_PERIODIC:
-            return self.period / self.n
-        if self.kind == UNIFORM:
-            return (self.points[-1] - self.points[0]) / (self.n - 1)
-        raise ConfigurationError("a nonuniform grid has no single spacing")
-
 
 def uniform_periodic_grid(a, b, n):
     """n equispaced points covering [a, b), spacing (b - a)/n."""
     h = (b - a) / n
-    return Grid1D(a + h * np.arange(n), UNIFORM_PERIODIC, period=b - a)
+    return Grid1D(a + h * np.arange(n), period=b - a)
 
 
 def uniform_grid(a, b, n):
     """n equispaced points covering [a, b] inclusive."""
     if n < 2:
         raise ConfigurationError("a bounded uniform grid needs at least two points")
-    return Grid1D(np.linspace(a, b, n), UNIFORM)
-
-
-def nonuniform_grid(points):
-    return Grid1D(np.asarray(points, dtype=float), NONUNIFORM)
+    return Grid1D(np.linspace(a, b, n))
 
 
 def sinh_clustered_grid(n):
@@ -111,29 +87,22 @@ def sinh_clustered_grid(n):
     Image of a uniform grid on [-1, 1] under x -> 20 sinh(2x) / sinh(2).
     """
     xi = np.linspace(-1.0, 1.0, n)
-    return nonuniform_grid(20.0 * np.sinh(2.0 * xi) / np.sinh(2.0))
+    return Grid1D(20.0 * np.sinh(2.0 * xi) / np.sinh(2.0))
 
 
 @dataclass(frozen=True)
 class BoundaryCondition:
-    """Closure kind per endpoint; periodic applies to both ends or neither."""
+    """Closure of each end of a bounded grid: ``dirichlet_zero`` or ``neumann_zero``."""
 
     left: str
     right: str
 
     def __post_init__(self):
         for side in (self.left, self.right):
-            if side not in _BC_KINDS:
+            if side not in (DIRICHLET_ZERO, NEUMANN_ZERO):
                 raise ConfigurationError(f"unknown boundary kind {side!r}")
-        if (self.left == PERIODIC) != (self.right == PERIODIC):
-            raise ConfigurationError("periodic closure must apply to both ends or neither")
-
-    @property
-    def is_periodic(self):
-        return self.left == PERIODIC
 
 
-PERIODIC_BC = BoundaryCondition(PERIODIC, PERIODIC)
 DIRICHLET_BC = BoundaryCondition(DIRICHLET_ZERO, DIRICHLET_ZERO)
 NEUMANN_BC = BoundaryCondition(NEUMANN_ZERO, NEUMANN_ZERO)
 
@@ -182,12 +151,14 @@ def fd_weights(nodes, center, deriv_order):
     return weights[:, m]
 
 
-def diff_matrix(grid, deriv_order, accuracy_order, bc):
+def diff_matrix(grid, deriv_order, accuracy_order, bc=None):
     """Differentiation matrix of the requested derivative and accuracy order.
 
-    Each row is a centered stencil of ``accuracy_order + 1`` nodes; the
-    boundary closure folds ghost nodes per ``bc`` as described in the module
-    docstring.  Nonuniform grids support ``accuracy_order == 2`` only.
+    Each row is a centered stencil of ``accuracy_order + 1`` nodes with the
+    :func:`fd_weights` of its actual nodes, so any even order works on any
+    bounded grid.  A periodic grid wraps its stencils and takes no ``bc``;
+    a bounded grid needs one, whose closures fold the ghost nodes as
+    described in the module docstring.
     """
     if deriv_order not in (1, 2):
         raise ConfigurationError(f"derivative order {deriv_order} not supported")
@@ -197,14 +168,12 @@ def diff_matrix(grid, deriv_order, accuracy_order, bc):
     n = grid.n
     if p + 1 > n:
         raise ConfigurationError(f"accuracy order {p} needs at least {p + 1} of {n} points")
-    if bc.is_periodic != (grid.kind == UNIFORM_PERIODIC):
-        raise ConfigurationError("periodic closure requires a periodic grid and vice versa")
-    if grid.kind == NONUNIFORM and p != 2:
-        raise ConfigurationError("nonuniform grids support accuracy order 2 only")
+    if (bc is None) != (grid.period is not None):
+        raise ConfigurationError("a bounded grid needs a bc and a periodic one takes none")
     half = p // 2
 
-    if bc.is_periodic:
-        h = grid.spacing
+    if grid.period is not None:
+        h = grid.period / n
         offsets = h * (np.arange(p + 1) - half)
         w = fd_weights(offsets, 0.0, deriv_order)
         rows = np.arange(n)
@@ -263,7 +232,7 @@ def heat_factors(n, p):
         if int(p) != p or int(p) % 2 != 0:
             raise ConfigurationError(f"accuracy order must be even or inf, got {p}")
         grid = uniform_periodic_grid(0.0, 2 * np.pi, n)
-        a = diff_matrix(grid, 2, int(p), PERIODIC_BC)
+        a = diff_matrix(grid, 2, int(p))
     return KroneckerOp((a, a, a))
 
 

@@ -26,7 +26,6 @@ __all__ = [
     "hermite_basis",
     "hermite_eval",
     "inverse_transform",
-    "position_operator",
     "potential_operator",
 ]
 
@@ -131,18 +130,6 @@ def inverse_transform(bases, coeffs, eval_points=None):
             )
         mats = [hermite_eval(b.k, np.atleast_1d(pts)).T for b, pts in zip(bases, eval_points)]
     return tucker(coeffs, mats)
-
-
-def position_operator(basis):
-    """Coordinate multiplication in coefficient space, via the quadrature.
-
-    Exact for this basis (the integrand degree stays below 2k), hence equal
-    to the symmetric tridiagonal matrix with off-diagonal ``sqrt((i+1)/2)``.
-    """
-    if basis.k < 2:
-        raise ConfigurationError("the position operator needs at least two basis functions")
-    scaled = basis.phi * (basis.nodes * basis.mod_weights)
-    return scaled @ basis.phi.T
 
 
 def potential_operator(basis, potential):

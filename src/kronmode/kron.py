@@ -86,7 +86,8 @@ def matvec(op, u):
     u = np.asarray(u)
     if u.shape != op.shape:
         raise ShapeError(f"tensor shape {u.shape} does not match operator shape {op.shape}")
-    out = mu_mode_product(u, op.factors[0], 1)
+    # Each product takes the dtype of u and its own factor; the sum, that of all.
+    out = mu_mode_product(u, op.factors[0], 1).astype(np.result_type(u, *op.factors), copy=False)
     for mu in range(2, op.d + 1):
         out += mu_mode_product(u, op.factors[mu - 1], mu)
     return out

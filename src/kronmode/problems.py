@@ -40,7 +40,7 @@ from .hermite import (
     hamiltonian_factor,
     hermite_basis,
     inverse_transform,
-    position_operator,
+    potential_operator,
 )
 from .kron import KroneckerOp, _cast, _check_steps, _exponentials, prepare, step
 from .krylov import _expmv_reference
@@ -351,7 +351,7 @@ def hkmp_factors(basis):
     """
     d_harm = np.diag(np.arange(basis.k) + 0.5)
     a_static = -1j * d_harm
-    x_op = position_operator(basis)
+    x_op = potential_operator(basis, lambda x: x)
     return lambda t: (a_static, a_static, -1j * (d_harm + np.sin(t) ** 2 * x_op))
 
 

@@ -105,7 +105,7 @@ def _lent_output(u, shape, dtype):
 
 
 def _check_direction(ndim, mu):
-    if not isinstance(mu, (int, np.integer)):
+    if isinstance(mu, bool) or not isinstance(mu, (int, np.integer)):
         raise InvalidDirectionError(f"direction index must be an integer, got {mu!r}")
     if not 1 <= mu <= ndim:
         raise InvalidDirectionError(f"direction {mu} outside 1..{ndim}")
@@ -302,6 +302,8 @@ def norm(u, kind="two"):
     """Tensor norm: the ``max`` entry modulus or the Euclidean ``two`` norm."""
     u = np.asarray(u)
     if kind == "max":
+        if u.size == 0:
+            return 0.0
         if u.dtype.kind == "f":
             # The larger of |max| and |min|, with no full-size |u| temporary;
             # a NaN entry makes both NaN.

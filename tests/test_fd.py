@@ -9,14 +9,13 @@ from kronmode.fd import (
     DIRICHLET_ZERO,
     NEUMANN_BC,
     NEUMANN_ZERO,
-    PERIODIC_BC,
     BoundaryCondition,
+    Grid1D,
     diff_matrix,
     fd_weights,
     fourier_second_derivative,
     gpe_weighted_factors,
     heat_factors,
-    nonuniform_grid,
     pipeflow_factors,
     pipeflow_grids,
     pipeflow_velocity,
@@ -94,7 +93,7 @@ class TestFdWeights:
 class TestDiffMatrix:
     def test_periodic_circulant(self):
         grid = uniform_periodic_grid(0.0, 4.0, 4)  # h = 1
-        d2 = diff_matrix(grid, 2, 2, PERIODIC_BC)
+        d2 = diff_matrix(grid, 2, 2)
         assert np.allclose(d2[0], [-2.0, 1.0, 0.0, 1.0], rtol=0, atol=1e-14)
         for i in range(4):
             assert np.allclose(d2[i], np.roll(d2[0], i), rtol=0, atol=1e-14)
@@ -107,19 +106,19 @@ class TestDiffMatrix:
         assert np.allclose(d2, want, rtol=0, atol=1e-12)
 
     def test_nonuniform_quadratic_exactness(self):
-        grid = nonuniform_grid([0.0, 0.3, 0.7, 1.4, 2.0])
+        grid = Grid1D([0.0, 0.3, 0.7, 1.4, 2.0])
         d2 = diff_matrix(grid, 2, 2, NEUMANN_BC)
         got = d2 @ grid.points**2
         assert np.allclose(got[1:-1], 2.0, rtol=0, atol=1e-10)
 
     def test_nonuniform_linear_zero_interior(self):
-        grid = nonuniform_grid([-1.0, -0.4, 0.1, 0.9, 1.7, 2.0])
+        grid = Grid1D([-1.0, -0.4, 0.1, 0.9, 1.7, 2.0])
         d2 = diff_matrix(grid, 2, 2, NEUMANN_BC)
         got = d2 @ grid.points
         assert np.allclose(got[1:-1], 0.0, rtol=0, atol=1e-10)
 
     def test_neumann_preserves_constants(self):
-        for grid in (uniform_grid(0.0, 1.0, 7), nonuniform_grid([0.0, 0.1, 0.35, 0.6, 1.0])):
+        for grid in (uniform_grid(0.0, 1.0, 7), Grid1D([0.0, 0.1, 0.35, 0.6, 1.0])):
             d2 = diff_matrix(grid, 2, 2, NEUMANN_BC)
             assert np.abs(d2 @ np.ones(grid.n)).max() <= 1e-10 / 0.01
 
@@ -145,8 +144,8 @@ class TestDiffMatrix:
     def test_periodic_eigenvalues(self):
         for n in (6, 10, 16):
             grid = uniform_periodic_grid(0.0, 2 * np.pi, n)
-            d2 = diff_matrix(grid, 2, 2, PERIODIC_BC)
-            h = grid.spacing
+            d2 = diff_matrix(grid, 2, 2)
+            h = 2 * np.pi / n
             got = np.sort(np.linalg.eigvalsh(d2))
             want = np.sort((2 * np.cos(2 * np.pi * np.arange(n) / n) - 2) / h**2)
             assert np.abs(got - want).max() <= 1e-10 / h**2
@@ -159,29 +158,75 @@ class TestDiffMatrix:
             diff_matrix(grid, 2, 3, DIRICHLET_BC)
         with pytest.raises(ConfigurationError):
             diff_matrix(grid, 2, 6, DIRICHLET_BC)  # p + 1 > n
+
+    def test_a_bc_is_given_exactly_for_a_bounded_grid(self):
         with pytest.raises(ConfigurationError):
-            diff_matrix(grid, 2, 2, PERIODIC_BC)  # periodic bc on bounded grid
+            diff_matrix(uniform_grid(0.0, 1.0, 5), 2, 2)
         with pytest.raises(ConfigurationError):
-            diff_matrix(nonuniform_grid([0.0, 0.1, 0.4, 0.5, 1.0]), 2, 4, NEUMANN_BC)
+            diff_matrix(uniform_periodic_grid(0.0, 1.0, 5), 2, 2, NEUMANN_BC)
 
     def test_boundary_condition_validation(self):
-        with pytest.raises(ConfigurationError):
-            BoundaryCondition("periodic", "dirichlet_zero")
-        with pytest.raises(ConfigurationError):
-            BoundaryCondition("clamped", "clamped")
+        # periodicity belongs to the grid, so it is no closure of an end
+        for left, right in (("periodic", "periodic"), ("periodic", DIRICHLET_ZERO),
+                            ("clamped", "clamped")):
+            with pytest.raises(ConfigurationError):
+                BoundaryCondition(left, right)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        p=st.sampled_from([2, 4, 6]),
+        deriv=st.sampled_from([1, 2]),
+        left=st.sampled_from([DIRICHLET_ZERO, NEUMANN_ZERO]),
+        right=st.sampled_from([DIRICHLET_ZERO, NEUMANN_ZERO]),
+        uniform=st.booleans(),
+        start=st.floats(-5.0, 5.0),
+        gaps=st.lists(st.floats(0.2, 1.0), min_size=6, max_size=15),
+    )
+    def test_interior_rows_exact_for_monomials_on_any_bounded_grid(
+        self, p, deriv, left, right, uniform, start, gaps
+    ):
+        n = len(gaps) + 1  # p + 1 <= 7 <= n
+        if uniform:
+            grid = uniform_grid(start, start + gaps[0] * (n - 1), n)
+        else:
+            grid = Grid1D(start + np.concatenate([[0.0], np.cumsum(gaps)]))
+        d = diff_matrix(grid, deriv, p, BoundaryCondition(left, right))
+        x = grid.points
+        interior = slice(p // 2, n - p // 2)  # rows whose stencil has no ghost node
+        for degree in range(p + 1):
+            y = x**degree
+            if degree < deriv:
+                want = np.zeros(n)
+            else:
+                want = np.prod(np.arange(degree - deriv + 1, degree + 1)) * x ** (degree - deriv)
+            err = np.abs(d @ y - want)[interior]
+            assert (err <= 1e-12 * (np.abs(d) @ np.abs(y))[interior]).all()
+        if left == right == NEUMANN_ZERO and deriv == 2:
+            # zero flux at both ends: constants are in the kernel, boundary rows included
+            assert (np.abs(d @ np.ones(n)) <= 1e-12 * (np.abs(d) @ np.ones(n))).all()
 
 
 class TestGrids:
     def test_strict_monotonicity_required(self):
         with pytest.raises(InvalidGridError):
-            nonuniform_grid([0.0, 0.5, 0.5, 1.0])
+            Grid1D([0.0, 0.5, 0.5, 1.0])
+
+    def test_period_must_be_positive_and_finite(self):
+        for period in (0.0, -1.0, np.inf, np.nan):
+            with pytest.raises(ConfigurationError):
+                Grid1D([0.0, 0.5], period=period)
 
     def test_periodic_points(self):
         grid = uniform_periodic_grid(0.0, 2 * np.pi, 8)
         assert grid.n == 8
+        assert grid.period == 2 * np.pi
         assert grid.points[0] == 0.0
         assert grid.points[-1] < 2 * np.pi
-        assert grid.spacing == pytest.approx(np.pi / 4)
+        assert np.diff(grid.points) == pytest.approx(np.full(7, np.pi / 4))
+
+    def test_bounded_grids_have_no_period(self):
+        for grid in (uniform_grid(0.0, 1.0, 5), sinh_clustered_grid(9), Grid1D([0.0, 1.0])):
+            assert grid.period is None
 
     def test_sinh_grid(self):
         grid = sinh_clustered_grid(17)
@@ -256,10 +301,10 @@ class TestGpeFactors:
         # trapezoidal weights are constant except at the two endpoints, so
         # the similarity transform only touches boundary-adjacent entries
         assert np.abs(op.factors[0][2:-2, 2:-2] - raw_half[2:-2, 2:-2]).max() <= 1e-13
-        assert weights[0][1] == pytest.approx(grid.spacing)
+        assert weights[0][1] == pytest.approx(2.0 / 9)  # the spacing
 
     def test_symmetry_on_nonuniform_grid(self):
-        grid = nonuniform_grid([-2.0, -1.1, -0.3, 0.4, 1.2, 2.0])
+        grid = Grid1D([-2.0, -1.1, -0.3, 0.4, 1.2, 2.0])
         op, _ = gpe_weighted_factors([grid])
         a = op.factors[0]
         assert np.abs(a - a.T).max() <= 1e-10

@@ -112,6 +112,18 @@ class TestMatvec:
         got = matvec(op, u).ravel(order="F")
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
+    @pytest.mark.parametrize("complex_dirs", [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2)])
+    def test_real_and_complex_factors_in_any_order(self, complex_dirs):
+        rng = np.random.default_rng(4)
+        factors = [rng.standard_normal((m, m)) for m in (3, 2, 4)]
+        for mu in complex_dirs:
+            factors[mu] = factors[mu] + 1j * rng.standard_normal(factors[mu].shape)
+        op = KroneckerOp(tuple(factors))
+        u = np.asfortranarray(rng.standard_normal((3, 2, 4)))
+        want = assemble_full(op) @ u.ravel(order="F")
+        got = matvec(op, u).ravel(order="F")
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
     def test_shape_mismatch(self):
         op = KroneckerOp((np.eye(2), np.eye(3)))
         with pytest.raises(ShapeError):

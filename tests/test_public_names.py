@@ -14,8 +14,8 @@ PUBLIC = [
     "fd_weights", "forward_transform", "gauss_hermite", "gpe_run", "gpe_strang_step",
     "gpe_weighted_factors", "hamiltonian_factor", "heat3d_run", "heat_factors", "hermite_basis",
     "hermite_eval", "hkmp_run", "hkp_run", "inverse_transform", "magnus_midpoint_step", "matexp",
-    "matvec", "mu_mode_product", "nonuniform_grid", "norm", "pipeflow_factors", "pipeflow_run",
-    "position_operator", "potential_operator", "prepare", "relative_error", "scale_modes",
+    "matvec", "mu_mode_product", "norm", "pipeflow_factors", "pipeflow_run",
+    "potential_operator", "prepare", "relative_error", "scale_modes",
     "sinh_clustered_grid", "step", "tucker", "uniform_grid", "uniform_periodic_grid",
 ]
 

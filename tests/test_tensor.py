@@ -153,6 +153,11 @@ class TestMuModeProduct:
         with pytest.raises(InvalidDirectionError):
             mu_mode_product(np.zeros((2, 3)), np.zeros((2, 2)), 3)
 
+    @pytest.mark.parametrize("mu", [True, False, np.bool_(True)])
+    def test_a_bool_is_no_direction(self, mu):
+        with pytest.raises(InvalidDirectionError):
+            mu_mode_product(np.zeros((2, 3)), np.zeros((2, 2)), mu)
+
 
 class TestTucker:
     def test_two_dimensional_matrix_identity(self):
@@ -270,6 +275,12 @@ class TestScaleModes:
 class TestNorm:
     def test_zero_tensor(self):
         z = np.zeros((2, 2))
+        assert norm(z, "max") == 0.0
+        assert norm(z, "two") == 0.0
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.complex128])
+    def test_zero_size_tensor(self, dtype):
+        z = np.zeros((3, 0, 2), dtype=dtype)
         assert norm(z, "max") == 0.0
         assert norm(z, "two") == 0.0
 
