@@ -45,9 +45,10 @@ NEUMANN_ZERO = "neumann_zero"
 class Grid1D:
     """Strictly increasing coordinates; periodic exactly when ``period`` is given.
 
-    A periodic grid stands for n points equispaced over one period: its
-    stencils read only ``period`` and ``n``, with spacing ``period / n``.
-    The points of a bounded grid may be spaced arbitrarily.
+    A periodic grid holds n points equispaced over one period, each within
+    ``1e-12 * (|points[0]| + period)`` of ``points[0] + i * period / n``
+    (else :class:`InvalidGridError`); its stencils read only ``period`` and
+    ``n``.  The points of a bounded grid may be spaced arbitrarily.
     """
 
     points: np.ndarray
@@ -59,8 +60,13 @@ class Grid1D:
             raise InvalidGridError("grid needs a one-dimensional list of points")
         if pts.size > 1 and not np.all(np.diff(pts) > 0):
             raise InvalidGridError("grid points must be strictly increasing")
-        if self.period is not None and not 0 < self.period < np.inf:
-            raise ConfigurationError(f"a period must be positive and finite, got {self.period!r}")
+        period = self.period
+        if period is not None:
+            if not 0 < period < np.inf:
+                raise ConfigurationError(f"a period must be positive and finite, got {period!r}")
+            even = pts[0] + (period / pts.size) * np.arange(pts.size)
+            if np.abs(pts - even).max() > 1e-12 * (abs(pts[0]) + period):
+                raise InvalidGridError("a periodic grid must be equispaced over its period")
         object.__setattr__(self, "points", pts)
 
     @property
@@ -70,6 +76,8 @@ class Grid1D:
 
 def uniform_periodic_grid(a, b, n):
     """n equispaced points covering [a, b), spacing (b - a)/n."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise ConfigurationError(f"a periodic grid needs an integer n >= 1, got {n!r}")
     h = (b - a) / n
     return Grid1D(a + h * np.arange(n), period=b - a)
 
@@ -160,11 +168,11 @@ def diff_matrix(grid, deriv_order, accuracy_order, bc=None):
     a bounded grid needs one, whose closures fold the ghost nodes as
     described in the module docstring.
     """
-    if deriv_order not in (1, 2):
+    if isinstance(deriv_order, bool) or deriv_order not in (1, 2):
         raise ConfigurationError(f"derivative order {deriv_order} not supported")
     p = int(accuracy_order)
-    if p <= 0 or p % 2 != 0:
-        raise ConfigurationError(f"accuracy order must be a positive even integer, got {p}")
+    if p != accuracy_order or p <= 0 or p % 2 != 0:
+        raise ConfigurationError(f"accuracy order {accuracy_order!r} is no positive even integer")
     n = grid.n
     if p + 1 > n:
         raise ConfigurationError(f"accuracy order {p} needs at least {p + 1} of {n} points")
@@ -229,10 +237,7 @@ def heat_factors(n, p):
     if np.isinf(p):
         a = fourier_second_derivative(n)
     else:
-        if int(p) != p or int(p) % 2 != 0:
-            raise ConfigurationError(f"accuracy order must be even or inf, got {p}")
-        grid = uniform_periodic_grid(0.0, 2 * np.pi, n)
-        a = diff_matrix(grid, 2, int(p))
+        a = diff_matrix(uniform_periodic_grid(0.0, 2 * np.pi, n), 2, p)
     return KroneckerOp((a, a, a))
 
 

@@ -9,7 +9,6 @@ dense ``M`` is never formed.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass
 from time import perf_counter
 
@@ -17,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigurationError, InvalidInputError, ShapeError
 from .linalg import matexp
-from .tensor import _active_counters, _lent_pair, _output_pair, mu_mode_product, tucker
+from .tensor import _active_counters, mu_mode_product, tucker
 
 __all__ = ["KroneckerOp", "PropagatorCache", "matvec", "prepare", "step"]
 
@@ -176,19 +175,20 @@ def step(cache, u, steps=1):
     same result because the factor exponentials commute.
 
     With ``steps > 1`` and a dense first factor, the call owns two buffers
-    of the result's size and dtype, which its products write in turn; the
-    result is a view of the last one written, and ``u`` is not modified.  A
-    single step owns none: its products write into a pair its caller lent
-    (as :func:`kronmode.problems.gpe_strang_step` does) or into new arrays.
+    of the result's size and dtype, which its products write in turn (see
+    :func:`kronmode.tensor.tucker`); the result is a view of the last one
+    written, and ``u`` is not modified.  A single step returns a new array.
     """
     _check_steps(steps)
     u = np.asarray(u)
     if u.shape != cache.shape:
         raise ShapeError(f"tensor shape {u.shape} does not match cache shape {cache.shape}")
-    # tucker's products write into a pair only in the chain of cycled
+    # tucker's products write into the pair only in the chain of cycled
     # products that starts with a dense direction 1.
-    lend = steps > 1 and cache.exps[0].ndim == 2 and not _lent_pair.get()
-    with _output_pair(u.size, np.result_type(u, *cache.exps)) if lend else nullcontext():
-        for _ in range(steps):
-            u = tucker(u, cache.exps)
+    pair = ()
+    if steps > 1 and cache.exps[0].ndim == 2:
+        dtype = np.result_type(u, *cache.exps)
+        pair = (np.empty(u.size, dtype), np.empty(u.size, dtype))
+    for _ in range(steps):
+        u = tucker(u, cache.exps, pair)
     return u

@@ -45,7 +45,7 @@ from .hermite import (
 from .kron import KroneckerOp, _cast, _check_steps, _exponentials, prepare, step
 from .krylov import _expmv_reference
 from .tensor import norm as tensor_norm
-from .tensor import _output_pair, count_flops, scale_modes, tucker
+from .tensor import count_flops, scale_modes, tucker
 
 __all__ = [
     "RunReport",
@@ -97,7 +97,7 @@ class _Run:
     """The run path of every driver: precision, time grid, timing and report.
 
     A driver creates it once its own input is valid; the constructor
-    validates the precision and the time grid (``steps``, ``T > 0``).  The
+    validates the precision and the time grid (``steps``, ``0 < T < inf``).  The
     driver's work runs in :meth:`timed`, whose wall time splits into matrix
     exponentials, mode products (spectral transforms included) and the
     rest.  :meth:`report` runs after it, so the reference solve is not timed.
@@ -109,8 +109,7 @@ class _Run:
         self.precision = precision
         self.dtype = np.float32 if precision == "single" else np.float64
         _check_steps(steps)
-        if not T > 0:
-            raise ConfigurationError(f"the final time must be positive, got {T!r}")
+        _check_time("final time", T)
         self.steps, self.tau = steps, T / steps
 
     @contextmanager
@@ -139,6 +138,12 @@ class _Run:
             time_other_s=max(self.total - exp_s - mode_s, 0.0), total_s=self.total,
             precision=self.precision, **fields,
         )
+
+
+def _check_time(name, value):
+    """Reject a time that is not positive and finite (:class:`ConfigurationError`)."""
+    if not 0 < value < math.inf:
+        raise ConfigurationError(f"the {name} must be positive and finite, got {value!r}")
 
 
 def relative_error(u, ref, norm_kind="max"):
@@ -408,14 +413,15 @@ def vortex_pair_state(grids):
 def gpe_setup(n):
     """Grids, linear generator and quadrature weights of the splitting scheme.
 
-    The grids on ``[-20, 20]`` cluster toward the vortex region.  The linear generator
-    factors are ``i`` times the symmetrized half-Laplacian factors, acting
-    on the weighted variables ``W^(1/2) psi``.
+    One grid on ``[-20, 20]``, clustered toward the vortex region, and one
+    factor object serve all three directions, so :func:`kronmode.kron.prepare`
+    exponentiates once.  The factor is ``i`` times the symmetrized
+    half-Laplacian factor, acting on the weighted variables ``W^(1/2) psi``.
     """
-    grids = tuple(sinh_clustered_grid(n) for _ in range(3))
-    sym_op, weights = gpe_weighted_factors(grids)
-    linear_op = KroneckerOp(tuple(1j * a for a in sym_op.factors))
-    return grids, linear_op, weights
+    grid = sinh_clustered_grid(n)
+    sym_op, weights = gpe_weighted_factors((grid,))
+    a = 1j * sym_op.factors[0]
+    return (grid,) * 3, KroneckerOp((a, a, a)), weights * 3
 
 
 class _PhaseRotation:
@@ -458,8 +464,9 @@ def gpe_strang_step(linear_cache, weights, psi, steps=1):
     is exact up to rounding because the flow leaves ``|psi|`` unchanged.
     The result keeps the precision of ``psi`` and the cache; ``psi`` itself
     is not modified.  The loop owns two buffers, the working copy of
-    ``psi`` and a spare, which the linear steps' products write in turn;
-    the result is a view of one of them.
+    ``psi`` and a spare, which the linear steps' products write in turn
+    (each step is one :func:`kronmode.tensor.tucker` call given both); the
+    result is a view of one of them.
     """
     _check_steps(steps)
     psi = np.asarray(psi)
@@ -468,15 +475,15 @@ def gpe_strang_step(linear_cache, weights, psi, steps=1):
     dtype = np.result_type(psi.dtype, np.complex64, *linear_cache.exps)
     rotate = _PhaseRotation(weights, psi.shape, dtype)
     tau = linear_cache.tau
-    with _output_pair(psi.size, dtype) as (work, _):
-        # Every array rotated in place below is a view of one of the pair.
-        work = work.reshape(psi.shape, order="F")
-        np.copyto(work, psi)
-        psi = work
-        rotate(psi, 0.5 * tau)
-        for s in range(steps):
-            psi = step(linear_cache, psi)
-            rotate(psi, tau if s < steps - 1 else 0.5 * tau)
+    pair = (np.empty(psi.size, dtype), np.empty(psi.size, dtype))
+    # Every array rotated in place below is a view of one of the pair.
+    work = pair[0].reshape(psi.shape, order="F")
+    np.copyto(work, psi)
+    psi = work
+    rotate(psi, 0.5 * tau)
+    for s in range(steps):
+        psi = tucker(psi, linear_cache.exps, pair)
+        rotate(psi, tau if s < steps - 1 else 0.5 * tau)
     return psi
 
 
@@ -493,8 +500,8 @@ def gpe_run(n, T=2.5, tau=0.1, precision="double"):
     """
     if n < 16:
         raise ConfigurationError(f"the vortex run needs n >= 16, got {n}")
-    if tau <= 0:
-        raise ConfigurationError("the step size must be positive")
+    _check_time("final time", T)
+    _check_time("step size", tau)
     run = _Run(precision, T, max(1, round(T / tau)))
     with run.timed():
         grids, linear_op, weights = gpe_setup(n)

@@ -71,29 +71,11 @@ def count_flops():
         _active_counters.reset(token)
 
 
-# The pair of flat output buffers lent to the products run in the current
-# context (see :func:`_output_pair`); empty when none is lent.  It reaches
+# The pair of flat output buffers that the running :func:`tucker` call was
+# given; empty outside such a call or when it was given none.  It reaches
 # mu_mode_product here rather than as an ``out=`` parameter because the
 # benchmark's tracer (perfbench/spans.py) binds calls to ``(u, mat, mu)``.
 _lent_pair: ContextVar[tuple] = ContextVar("kronmode_output_pair", default=())
-
-
-@contextmanager
-def _output_pair(size, dtype):
-    """Lend two flat buffers of ``size`` entries of ``dtype`` for the block; yield them.
-
-    Every product in the layout :func:`tucker` passes whose result has that
-    size and dtype is written into the buffer that shares no memory with its
-    input, so a chain of products ping-pongs between the two.  The lender
-    owns both and keeps at most one result in them alive at a time.  The
-    block's end, or an exception, takes the pair back.
-    """
-    pair = (np.empty(size, dtype=dtype), np.empty(size, dtype=dtype))
-    token = _lent_pair.set(pair)
-    try:
-        yield pair
-    finally:
-        _lent_pair.reset(token)
 
 
 def _lent_output(u, shape, dtype):
@@ -137,8 +119,8 @@ def mu_mode_product(u, mat, mu):
     :func:`tucker` passes: ``mu`` the last direction, its axis the fastest,
     the other axes in Fortran order (one multiplication).  Any other layout
     is copied to Fortran order first.  In the layout :func:`tucker` passes,
-    the result goes into a buffer a stepper lends (see :func:`_output_pair`)
-    when one fits; every other result is a new array.
+    the result goes into one of the buffers that call was given, when one
+    fits and shares no memory with ``u``; every other result is a new array.
     """
     u = np.asarray(u)
     mat = np.asarray(mat)
@@ -197,7 +179,7 @@ def mu_mode_product(u, mat, mu):
     return out.reshape(out_shape, order="F")
 
 
-def tucker(u, mats):
+def tucker(u, mats, buffers=()):
     """Apply one matrix per direction: ``u x_1 mats[0] x_2 ... x_d mats[d-1]``.
 
     Each entry is an ``m x n_mu`` matrix or a 1-D vector of length ``n_mu``,
@@ -217,9 +199,10 @@ def tucker(u, mats):
     Dense entries after a diagonal one are applied in their own direction,
     and a layout left cycled is copied back to Fortran order.
 
-    ``tucker`` owns no buffers.  With a pair lent by a stepper (see
-    :func:`_output_pair`), its cycled products alternate between the two
-    and the result is a view of one of them; otherwise it is a new array.
+    ``buffers`` is empty or two flat arrays that the caller owns: each cycled
+    product of their size and dtype writes into the one that shares no
+    memory with its input, so the result may be a view of one of them.
+    With no buffers it is a new array.
     """
     start = perf_counter()
     u = np.asarray(u)
@@ -235,15 +218,19 @@ def tucker(u, mats):
     # out is F-ordered with its axes cycled left `cycled` times.
     cycle = (*range(1, u.ndim), 0)
     out, cycled = u, 0
-    for mu, mat in enumerate(mats, start=1):
-        if mat.ndim != 2:
-            continue
-        if cycled == mu - 1:
-            out = mu_mode_product(out.transpose(cycle), mat, u.ndim)
-            cycled += 1
-        else:
-            out = mu_mode_product(_uncycle(out, cycled), mat, mu)
-            cycled = 0
+    token = _lent_pair.set(tuple(buffers))
+    try:
+        for mu, mat in enumerate(mats, start=1):
+            if mat.ndim != 2:
+                continue
+            if cycled == mu - 1:
+                out = mu_mode_product(out.transpose(cycle), mat, u.ndim)
+                cycled += 1
+            else:
+                out = mu_mode_product(_uncycle(out, cycled), mat, mu)
+                cycled = 0
+    finally:
+        _lent_pair.reset(token)
     out = np.asarray(_uncycle(out, cycled), order="F")
     diagonals = [(ax, v) for ax, v in enumerate(mats) if v.ndim == 1]
     if diagonals:

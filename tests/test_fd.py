@@ -159,6 +159,10 @@ class TestDiffMatrix:
         with pytest.raises(ConfigurationError):
             diff_matrix(grid, 2, 6, DIRICHLET_BC)  # p + 1 > n
 
+    def test_a_bool_is_no_derivative_order(self):
+        with pytest.raises(ConfigurationError):
+            diff_matrix(uniform_grid(0.0, 1.0, 5), True, 2, NEUMANN_BC)
+
     def test_a_bc_is_given_exactly_for_a_bounded_grid(self):
         with pytest.raises(ConfigurationError):
             diff_matrix(uniform_grid(0.0, 1.0, 5), 2, 2)
@@ -215,6 +219,22 @@ class TestGrids:
         for period in (0.0, -1.0, np.inf, np.nan):
             with pytest.raises(ConfigurationError):
                 Grid1D([0.0, 0.5], period=period)
+
+    @pytest.mark.parametrize("points", [[0.0, 5.0, 6.0, 7.0], [0.0, 0.1, 0.5, 3.0]])
+    def test_a_periodic_grid_is_equispaced_over_its_period(self, points):
+        with pytest.raises(InvalidGridError):
+            Grid1D(points, period=4.0)
+
+    @pytest.mark.parametrize("a, b", [(0.0, 2 * np.pi), (-20.0, 20.0), (3.0, 10.0)])
+    @pytest.mark.parametrize("n", [1, 2, 7, 128, 4096])
+    def test_equispaced_periodic_points_are_accepted(self, a, b, n):
+        assert Grid1D(np.linspace(a, b, n, endpoint=False), period=b - a).n == n
+
+    def test_a_periodic_grid_needs_a_point(self):
+        with pytest.raises(ConfigurationError):
+            uniform_periodic_grid(0.0, 1.0, 0)
+        with pytest.raises(ConfigurationError):
+            heat_factors(0, 2)
 
     def test_periodic_points(self):
         grid = uniform_periodic_grid(0.0, 2 * np.pi, 8)

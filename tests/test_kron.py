@@ -339,28 +339,23 @@ class TestStepBuffers:
         assert not np.shares_memory(first, third)
         assert np.array_equal(first, kept)
 
-    def test_a_lent_pair_serves_the_products_of_single_steps(self):
+    def test_a_pair_given_to_tucker_serves_its_products(self):
         cache, u = buffer_case(22, False, np.float64, False)
-        with tensor._output_pair(u.size, np.float64) as pair:
-            got = step(cache, u)
-            assert any(np.shares_memory(got, buf) for buf in pair)
-            got = step(cache, got)
+        pair = (np.empty(u.size), np.empty(u.size))
+        got = tucker(u, cache.exps, pair)
+        assert any(np.shares_memory(got, buf) for buf in pair)
+        got = tucker(got, cache.exps, pair)
         assert got.tobytes(order="F") == unbuffered_steps(cache, u, 2).tobytes(order="F")
+        assert tensor._lent_pair.get() == ()
 
-    def test_matvec_and_a_rectangular_tucker_inside_a_lent_pair(self):
+    def test_a_rectangular_tucker_given_a_pair(self):
         rng = np.random.default_rng(23)
-        op = random_op(rng, (2, 3, 4), complex_factors=True)
         u = np.asfortranarray(rng.standard_normal((2, 3, 4)))
         # Rectangular factors: the first two outputs have the pair's size,
         # the third does not.
         mats = [rng.standard_normal((3, 2)), rng.standard_normal((3, 3)),
                 rng.standard_normal((5, 4))]
-        with tensor._output_pair(u.size, np.complex128):
-            got = matvec(op, u)
-        want = assemble_full(op) @ u.ravel(order="F")
-        assert np.allclose(got.ravel(order="F"), want, rtol=1e-13, atol=1e-13)
-        with tensor._output_pair(3 * 3 * 4, np.float64):
-            got = tucker(u, mats)
+        got = tucker(u, mats, (np.empty(3 * 3 * 4), np.empty(3 * 3 * 4)))
         assert got.shape == (3, 3, 5)
         assert np.allclose(got.ravel(order="F"), kron_vec_apply(u, mats), rtol=1e-13,
                            atol=1e-13)

@@ -15,7 +15,14 @@ from kronmode.errors import (
     InvalidReferenceError,
     ShapeError,
 )
-from kronmode.fd import heat_factors, pipeflow_factors, pipeflow_grids, uniform_periodic_grid
+from kronmode.fd import (
+    gpe_weighted_factors,
+    heat_factors,
+    pipeflow_factors,
+    pipeflow_grids,
+    sinh_clustered_grid,
+    uniform_periodic_grid,
+)
 from kronmode.hermite import forward_transform, hermite_basis
 from kronmode.kron import KroneckerOp, prepare, step
 from kronmode.problems import (
@@ -346,6 +353,20 @@ class TestHkmpRun:
 
 
 class TestGpe:
+    def test_one_factor_is_exponentiated_for_all_directions(self, monkeypatch):
+        calls = []
+        original = kron.matexp
+        monkeypatch.setattr(kron, "matexp", lambda a: calls.append(a.shape) or original(a))
+        grids, lin_op, weights = gpe_setup(16)
+        cache = prepare(lin_op, 0.1)
+        assert calls == [(16, 16)]
+        # The same factor and weights as one grid per direction would give.
+        sym_op, want_weights = gpe_weighted_factors([sinh_clustered_grid(16) for _ in range(3)])
+        for a, want, w, want_w in zip(lin_op.factors, sym_op.factors, weights, want_weights):
+            assert np.array_equal(a, 1j * want) and np.array_equal(w, want_w)
+        assert all(np.array_equal(e, original(0.1 * lin_op.factors[0])) for e in cache.exps)
+        assert all(grid is grids[0] for grid in grids)
+
     def test_nonlinear_substep_preserves_modulus(self):
         rng = np.random.default_rng(1)
         grids, lin_op, weights = gpe_setup(16)
@@ -407,11 +428,17 @@ class TestGpe:
     def test_the_pair_is_released_when_a_step_raises(self, monkeypatch):
         _, lin_op, weights = gpe_setup(8)
         psi = np.ones((8, 8, 8), dtype=complex)
+        product = tensor.mu_mode_product
+        calls = []
 
-        def failing_step(cache, u, steps=1):
-            raise RuntimeError("step failed")
+        def failing_product(u, mat, mu):
+            # The second step's tucker fails with the loop's pair set.
+            calls.append(mu)
+            if len(calls) == 5:
+                raise RuntimeError("step failed")
+            return product(u, mat, mu)
 
-        monkeypatch.setattr(problems, "step", failing_step)
+        monkeypatch.setattr(tensor, "mu_mode_product", failing_product)
         with pytest.raises(RuntimeError, match="step failed"):
             gpe_strang_step(prepare(lin_op, 0.1), weights, psi, steps=2)
         assert tensor._lent_pair.get() == ()
@@ -522,6 +549,11 @@ class TestDriverValidation:
         (pipeflow_run, {"n": 16, "steps": 0}),
         (gpe_run, {"n": 16, "T": 0.0}),
         (gpe_run, {"n": 16, "precision": "half"}),
+        *((run, {size: 16, "T": T}) for run, size in (
+            (hkmp_run, "k"), (hkp_run, "k"), (heat3d_run, "n"), (pipeflow_run, "n"),
+            (gpe_run, "n")) for T in (math.inf, math.nan)),
+        (gpe_run, {"n": 16, "tau": math.nan}),
+        (gpe_run, {"n": 16, "tau": math.inf}),
     ], ids=lambda case: case.__name__ if callable(case)
        else ",".join(f"{key}={value}" for key, value in case.items()))
     def test_rejected_before_any_work(self, monkeypatch, run, kwargs):
