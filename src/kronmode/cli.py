@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import inspect
 import json
 import math
 import sys
@@ -29,9 +30,6 @@ CSV_COLUMNS = (
     "rel_error", "time_exp_s", "time_mumode_s", "time_other_s", "total_s",
 )
 
-_SWEEPABLE = ("heat", "pipeflow", "schrodinger-ti", "schrodinger-td", "gpe")
-
-
 def _int(text):
     try:
         return int(text)
@@ -46,11 +44,12 @@ def _positive_int(text):
     return value
 
 
-def _nonnegative_int(text):
+def _count_or_none(text):
+    """A non-negative integer; ``0`` gives ``None``, which disables what the flag sets."""
     value = _int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
-    return value
+    return value or None
 
 
 def _thread_count(text):
@@ -91,13 +90,39 @@ def _int_list(text):
     return values
 
 
-def _add_common(sub):
-    sub.add_argument("--precision", choices=("single", "double"), default="double",
-                     help="scalar precision of the run (default: double)")
-    sub.add_argument("--output", choices=("csv", "json", "table"), default="table",
-                     help="report format (default: table)")
-    sub.add_argument("--out", dest="out_path", default=None, metavar="PATH",
-                     help="write the report to PATH instead of stdout")
+# Problem command -> (its driver in kronmode.problems, help line).  Drivers are
+# looked up by name at each use, so a wrapper put in a driver's place is called.
+_PROBLEMS = {
+    "heat": ("heat3d_run", "periodic 3D heat equation with analytic reference"),
+    "pipeflow": ("pipeflow_run", "2D pipe diffusion-advection vs Taylor-series reference"),
+    "schrodinger-ti": ("hkp_run",
+                       "Schrodinger equation, time-independent potential, Hermite basis"),
+    "schrodinger-td": ("hkmp_run",
+                       "Schrodinger equation, driven potential, midpoint Magnus stepping"),
+    "gpe": ("gpe_run", "Gross-Pitaevskii vortex pair with Strang splitting"),
+}
+
+# Driver parameter -> (flag, argparse settings).  A problem command has one
+# flag per parameter of its driver, with the driver's default.
+_FLAGS = {
+    "n": ("--n", dict(type=_positive_int, help="grid points per direction")),
+    "k": ("--k", dict(type=_positive_int, help="basis functions per direction")),
+    "p": ("--p", dict(type=_accuracy_order,
+                      help="even finite-difference order, or 'inf' for spectral")),
+    "T": ("--T", dict(type=_positive_float, help="final time")),
+    "steps": ("--steps", dict(type=_positive_int, help="number of time steps")),
+    "k_ref": ("--k-ref", dict(type=_count_or_none,
+                              help="reference resolution for the error (0 disables)")),
+    "ref_steps": ("--ref-steps", dict(type=_count_or_none,
+                                      help="reference step count for the error (0 disables)")),
+    "tau": ("--tau", dict(type=_positive_float,
+                          help="nominal time step: the run takes steps = max(1, round(T/tau)) "
+                               "equal steps of T/steps")),
+    "norm_kind": ("--norm", dict(choices=("max", "two"), help="norm for the reported relative "
+                                 "error (default: %(default)s)")),
+    "precision": ("--precision", dict(choices=("single", "double"),
+                                      help="scalar precision of the run (default: %(default)s)")),
+}
 
 
 def build_parser():
@@ -108,53 +133,20 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    heat = sub.add_parser("heat", help="periodic 3D heat equation with analytic reference")
-    heat.add_argument("--n", type=_positive_int, default=40, help="grid points per direction")
-    heat.add_argument("--p", type=_accuracy_order, default=2,
-                      help="even finite-difference order, or 'inf' for spectral")
-    heat.add_argument("--T", type=_positive_float, default=1.0, help="final time")
-    heat.add_argument("--steps", type=_positive_int, default=1, help="number of time steps")
-    _add_common(heat)
-
-    pipe = sub.add_parser("pipeflow", help="2D pipe diffusion-advection vs Taylor-series reference")
-    pipe.add_argument("--n", type=_positive_int, default=32, help="grid points per direction")
-    pipe.add_argument("--T", type=_positive_float, default=4.0, help="final time")
-    pipe.add_argument("--steps", type=_positive_int, default=1, help="number of time steps")
-    _add_common(pipe)
-
-    sti = sub.add_parser("schrodinger-ti",
-                         help="Schrodinger equation, time-independent potential, Hermite basis")
-    sti.add_argument("--k", type=_positive_int, default=40, help="basis functions per direction")
-    sti.add_argument("--T", type=_positive_float, default=1.0, help="final time")
-    sti.add_argument("--k-ref", dest="k_ref", type=_nonnegative_int, default=120,
-                     help="reference resolution for the error (0 disables)")
-    _add_common(sti)
-
-    std = sub.add_parser("schrodinger-td",
-                         help="Schrodinger equation, driven potential, midpoint Magnus stepping")
-    std.add_argument("--k", type=_positive_int, default=20, help="basis functions per direction")
-    std.add_argument("--T", type=_positive_float, default=1.0, help="final time")
-    std.add_argument("--steps", type=_positive_int, default=32, help="number of time steps")
-    std.add_argument("--ref-steps", dest="ref_steps", type=_nonnegative_int, default=2048,
-                     help="reference step count for the error (0 disables)")
-    _add_common(std)
-
-    for command in (heat, pipe, sti, std):  # gpe reports the drift of the weighted two-norm
-        command.add_argument("--norm", choices=("max", "two"), default="max",
-                             help="norm for the reported relative error (default: max)")
-
-    gpe = sub.add_parser("gpe", help="Gross-Pitaevskii vortex pair with Strang splitting")
-    gpe.add_argument("--n", type=_positive_int, default=32, help="grid points per direction")
-    gpe.add_argument("--T", type=_positive_float, default=2.5, help="final time")
-    gpe.add_argument("--tau", type=_positive_float, default=0.1,
-                     help="nominal time step: the run takes steps = max(1, round(T/tau)) "
-                          "equal steps of T/steps")
-    _add_common(gpe)
+    for command, (driver, help_line) in _PROBLEMS.items():
+        own = sub.add_parser(command, help=help_line)
+        for name, param in inspect.signature(getattr(problems, driver)).parameters.items():
+            flag, settings = _FLAGS[name]
+            own.add_argument(flag, dest=name, default=param.default, **settings)
+        own.add_argument("--output", choices=("csv", "json", "table"), default="table",
+                         help="report format (default: table)")
+        own.add_argument("--out", dest="out_path", default=None, metavar="PATH",
+                         help="write the report to PATH instead of stdout")
 
     sweep = sub.add_parser("sweep", help="run one problem over a list of resolutions; every "
                                          "other flag goes to the problem's own command "
                                          "(see kronmode <problem> -h)")
-    sweep.add_argument("--problem", choices=_SWEEPABLE, required=True)
+    sweep.add_argument("--problem", choices=tuple(_PROBLEMS), required=True)
     sweep.add_argument("--n", dest="n_list", type=_int_list, default=[],
                        help="comma-separated grid sizes (grid-based problems)")
     sweep.add_argument("--k", dest="k_list", type=_int_list, default=[],
@@ -199,23 +191,8 @@ def parse_args(argv):
 
 
 def _execute_single(cfg):
-    if cfg.command == "heat":
-        return problems.heat3d_run(cfg.n, p=cfg.p, T=cfg.T, steps=cfg.steps,
-                                   norm_kind=cfg.norm, precision=cfg.precision)
-    if cfg.command == "pipeflow":
-        return problems.pipeflow_run(cfg.n, T=cfg.T, steps=cfg.steps,
-                                     norm_kind=cfg.norm, precision=cfg.precision)
-    if cfg.command == "schrodinger-ti":
-        k_ref = cfg.k_ref if cfg.k_ref else None
-        return problems.hkp_run(cfg.k, T=cfg.T, k_ref=k_ref,
-                                norm_kind=cfg.norm, precision=cfg.precision)
-    if cfg.command == "schrodinger-td":
-        ref_steps = cfg.ref_steps if cfg.ref_steps else None
-        return problems.hkmp_run(cfg.k, T=cfg.T, steps=cfg.steps, ref_steps=ref_steps,
-                                 norm_kind=cfg.norm, precision=cfg.precision)
-    if cfg.command == "gpe":
-        return problems.gpe_run(cfg.n, T=cfg.T, tau=cfg.tau, precision=cfg.precision)
-    raise KronmodeError(f"unhandled command {cfg.command!r}")
+    driver = getattr(problems, _PROBLEMS[cfg.command][0])
+    return driver(**{name: getattr(cfg, name) for name in inspect.signature(driver).parameters})
 
 
 def _execute_sweep(cfg):

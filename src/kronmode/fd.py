@@ -128,9 +128,9 @@ def fd_weights(nodes, center, deriv_order):
         raise InvalidGridError("stencil nodes must be a non-empty vector")
     if np.unique(x).size != x.size:
         raise InvalidGridError("stencil nodes must be distinct")
-    m = int(deriv_order)
-    if m < 0:
-        raise ConfigurationError("derivative order must be nonnegative")
+    m = deriv_order
+    if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 0:
+        raise ConfigurationError(f"derivative order {m!r} is no nonnegative integer")
     if m >= x.size:
         raise ConfigurationError(
             f"derivative order {m} needs more than {x.size} stencil nodes"

@@ -167,7 +167,7 @@ def relative_error(u, ref, norm_kind="max"):
 # Heat equation on [0, 2*pi)^3 with periodic boundary conditions.
 
 
-def heat3d_run(n, p=2, T=1.0, steps=1, norm_kind="max", precision="double"):
+def heat3d_run(n=40, p=2, T=1.0, steps=1, norm_kind="max", precision="double"):
     """Propagate ``u0 = cos x1 + cos x2 + cos x3`` and compare with the PDE solution.
 
     The reported relative error is against ``exp(-T) u0`` sampled on the
@@ -198,7 +198,7 @@ def heat3d_run(n, p=2, T=1.0, steps=1, norm_kind="max", precision="double"):
 # Pipe flow: 2D diffusion-advection with space-dependent coefficients.
 
 
-def pipeflow_run(n, T=4.0, steps=1, norm_kind="max", precision="double"):
+def pipeflow_run(n=32, T=4.0, steps=1, norm_kind="max", precision="double"):
     """Propagate a Gaussian blob through the pipe model.
 
     The reference is ``exp(T*M) c0`` on the same discretization by a
@@ -299,7 +299,7 @@ def _hermite_run(problem, k, T, steps, factors_of, ref, norm_kind, precision):
     return run.report(problem, values, None if ref is None else error, norm_kind, k=k)
 
 
-def hkp_run(k, T=1.0, k_ref=120, norm_kind="max", precision="double"):
+def hkp_run(k=40, T=1.0, k_ref=120, norm_kind="max", precision="double"):
     """Hermite pseudospectral run of the time-independent problem in one exact step.
 
     The reference has ``k_ref`` functions per direction, ``None`` skips it; see
@@ -360,7 +360,7 @@ def hkmp_factors(basis):
     return lambda t: (a_static, a_static, -1j * (d_harm + np.sin(t) ** 2 * x_op))
 
 
-def hkmp_run(k, T=1.0, steps=32, ref_steps=2048, norm_kind="max", precision="double"):
+def hkmp_run(k=20, T=1.0, steps=32, ref_steps=2048, norm_kind="max", precision="double"):
     """Benchmark run of the time-dependent problem.
 
     The reference takes ``ref_steps`` steps at the same spatial resolution,
@@ -487,7 +487,7 @@ def gpe_strang_step(linear_cache, weights, psi, steps=1):
     return psi
 
 
-def gpe_run(n, T=2.5, tau=0.1, precision="double"):
+def gpe_run(n=32, T=2.5, tau=0.1, precision="double"):
     """Strang-split vortex-pair evolution.
 
     ``tau`` is the nominal step: the run takes ``steps = max(1, round(T / tau))``
@@ -502,6 +502,8 @@ def gpe_run(n, T=2.5, tau=0.1, precision="double"):
         raise ConfigurationError(f"the vortex run needs n >= 16, got {n}")
     _check_time("final time", T)
     _check_time("step size", tau)
+    if not math.isfinite(T / tau):
+        raise ConfigurationError(f"T / tau overflows: T = {T!r}, tau = {tau!r}")
     run = _Run(precision, T, max(1, round(T / tau)))
     with run.timed():
         grids, linear_op, weights = gpe_setup(n)

@@ -1,4 +1,6 @@
 import argparse
+import functools
+import inspect
 import json
 import math
 import os
@@ -12,6 +14,7 @@ import pytest
 
 import kronmode
 from kronmode import blas, problems
+from kronmode.errors import KronmodeError
 from kronmode.cli import CSV_COLUMNS, build_parser, main, parse_args, run
 
 GOLDEN_HEADER = ("problem,n,k,p,steps,tau,precision,norm,rel_error,"
@@ -78,7 +81,7 @@ def _non_timing(payload):
 
 
 # Command-line values other than the default, by the type of the flag.
-_SAMPLES = {"_positive_int": ["3"], "_nonnegative_int": ["0", "3"], "_positive_float": ["0.5"],
+_SAMPLES = {"_positive_int": ["3"], "_count_or_none": ["0", "3"], "_positive_float": ["0.5"],
             "_accuracy_order": ["4", "inf"], "_thread_count": ["1"], None: ["report.csv"]}
 
 
@@ -135,7 +138,7 @@ class TestParse:
         cfg = parse_args(["sweep", "--problem", "heat", "--n", "40,55,70,85,100"])
         assert cfg.problem == "heat"
         assert cfg.n_list == [40, 55, 70, 85, 100]
-        assert (cfg.p, cfg.T, cfg.steps, cfg.norm) == (2, 1.0, 1, "max")  # heat's defaults
+        assert (cfg.p, cfg.T, cfg.steps, cfg.norm_kind) == (2, 1.0, 1, "max")  # heat's defaults
 
     def test_sweep_without_values_exits_2(self):
         with pytest.raises(SystemExit) as info:
@@ -218,6 +221,36 @@ class TestParse:
             parse_args(argv)
         assert info.value.code == 2
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, driver", [
+        ("heat", "heat3d_run"), ("pipeflow", "pipeflow_run"), ("schrodinger-ti", "hkp_run"),
+        ("schrodinger-td", "hkmp_run"), ("gpe", "gpe_run"),
+    ])
+    def test_a_problem_command_is_its_drivers_signature(self, command, driver):
+        # every driver parameter is a flag with the driver's default, and
+        # nothing else is, apart from the flags every problem command has
+        defaults = {name: param.default for name, param
+                    in inspect.signature(getattr(problems, driver)).parameters.items()}
+        common = {"command": command, "output": "table", "out_path": None, "threads": None}
+        assert vars(parse_args([command])) == {**defaults, **common}
+
+    @pytest.mark.parametrize("argv, driver, name", [
+        (["schrodinger-ti", "--k-ref", "0"], "hkp_run", "k_ref"),
+        (["schrodinger-td", "--ref-steps", "0"], "hkmp_run", "ref_steps"),
+    ])
+    def test_zero_disables_the_reference_up_to_the_driver(self, monkeypatch, argv, driver,
+                                                          name):
+        seen = {}
+
+        @functools.wraps(getattr(problems, driver))
+        def fake_driver(**kwargs):
+            seen.update(kwargs)
+            raise KronmodeError("stop")
+
+        assert getattr(parse_args(argv), name) is None
+        monkeypatch.setattr(problems, driver, fake_driver)
+        assert run(parse_args(argv)) == 1
+        assert seen[name] is None
 
     def test_threads_above_openblas_maximum_exits_2(self):
         with pytest.raises(SystemExit) as info:
@@ -413,6 +446,7 @@ class TestRun:
             norm_kind="max", time_exp_s=0.0, time_mumode_s=0.0, time_other_s=0.0,
             total_s=0.0, n=8, p=2.0)
 
+        @functools.wraps(problems.heat3d_run)
         def fake_heat(*args, **kwargs):
             seen.append(blas.thread_counts())
             return report

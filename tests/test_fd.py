@@ -89,6 +89,11 @@ class TestFdWeights:
         with pytest.raises(ConfigurationError):
             fd_weights([0.0, 1.0], 0.0, 2)
 
+    @pytest.mark.parametrize("order", [1.5, True, 1.0, -1])
+    def test_order_is_a_nonnegative_integer(self, order):
+        with pytest.raises(ConfigurationError):
+            fd_weights([-1.0, 0.0, 1.0], 0.0, order)
+
 
 class TestDiffMatrix:
     def test_periodic_circulant(self):

@@ -139,6 +139,12 @@ def test_parameter_validation():
         arnoldi_expmv(op, np.ones(4), 0.1)
 
 
+@pytest.mark.parametrize("m_max", [2.5, True])
+def test_m_max_is_an_integer(m_max):
+    with pytest.raises(ConfigurationError):
+        arnoldi_expmv(KroneckerOp((np.eye(3),)), np.ones(3), 0.1, m_max=m_max)
+
+
 def test_complex_operator():
     rng = np.random.default_rng(6)
     b = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))

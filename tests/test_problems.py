@@ -554,6 +554,7 @@ class TestDriverValidation:
             (gpe_run, "n")) for T in (math.inf, math.nan)),
         (gpe_run, {"n": 16, "tau": math.nan}),
         (gpe_run, {"n": 16, "tau": math.inf}),
+        (gpe_run, {"n": 16, "T": 1e300, "tau": 1e-300}),  # T / tau overflows
     ], ids=lambda case: case.__name__ if callable(case)
        else ",".join(f"{key}={value}" for key, value in case.items()))
     def test_rejected_before_any_work(self, monkeypatch, run, kwargs):
