@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import numbers
+
 
 class KronmodeError(Exception):
     """Base class for every error raised by this package."""
@@ -22,7 +24,7 @@ class ConfigurationError(KronmodeError, ValueError):
 
 
 class InvalidGridError(KronmodeError, ValueError):
-    """Grid nodes are repeated or not strictly increasing."""
+    """Grid nodes are non-finite, repeated or not strictly increasing."""
 
 
 class InvalidPotentialError(KronmodeError, ValueError):
@@ -42,3 +44,13 @@ class NoConvergenceError(KronmodeError, RuntimeError):
     def __init__(self, message, best_estimate=None):
         super().__init__(message)
         self.best_estimate = best_estimate
+
+
+def _check_count(name, value, minimum=1):
+    """Reject a count that is no integer >= ``minimum`` (:class:`ConfigurationError`).
+
+    An integer is a :class:`numbers.Integral` other than a bool, so numpy
+    integers pass and ``2.0``, ``True`` and ``"3"`` do not.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise ConfigurationError(f"{name} must be an integer >= {minimum}, got {value!r}")

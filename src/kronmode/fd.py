@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, InvalidGridError
+from .errors import ConfigurationError, InvalidGridError, _check_count
 from .kron import KroneckerOp
 
 __all__ = [
@@ -43,7 +43,7 @@ NEUMANN_ZERO = "neumann_zero"
 
 @dataclass(frozen=True)
 class Grid1D:
-    """Strictly increasing coordinates; periodic exactly when ``period`` is given.
+    """Finite, strictly increasing coordinates; periodic exactly when ``period`` is given.
 
     A periodic grid holds n points equispaced over one period, each within
     ``1e-12 * (|points[0]| + period)`` of ``points[0] + i * period / n``
@@ -56,8 +56,8 @@ class Grid1D:
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
-        if pts.ndim != 1 or pts.size < 1:
-            raise InvalidGridError("grid needs a one-dimensional list of points")
+        if pts.ndim != 1 or pts.size < 1 or not np.isfinite(pts).all():
+            raise InvalidGridError("grid needs a one-dimensional list of finite points")
         if pts.size > 1 and not np.all(np.diff(pts) > 0):
             raise InvalidGridError("grid points must be strictly increasing")
         period = self.period
@@ -76,16 +76,14 @@ class Grid1D:
 
 def uniform_periodic_grid(a, b, n):
     """n equispaced points covering [a, b), spacing (b - a)/n."""
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-        raise ConfigurationError(f"a periodic grid needs an integer n >= 1, got {n!r}")
+    _check_count("n", n)
     h = (b - a) / n
     return Grid1D(a + h * np.arange(n), period=b - a)
 
 
 def uniform_grid(a, b, n):
     """n equispaced points covering [a, b] inclusive."""
-    if n < 2:
-        raise ConfigurationError("a bounded uniform grid needs at least two points")
+    _check_count("n", n, minimum=2)
     return Grid1D(np.linspace(a, b, n))
 
 
@@ -94,6 +92,7 @@ def sinh_clustered_grid(n):
 
     Image of a uniform grid on [-1, 1] under x -> 20 sinh(2x) / sinh(2).
     """
+    _check_count("n", n, minimum=2)
     xi = np.linspace(-1.0, 1.0, n)
     return Grid1D(20.0 * np.sinh(2.0 * xi) / np.sinh(2.0))
 
@@ -126,11 +125,12 @@ def fd_weights(nodes, center, deriv_order):
     x = np.asarray(nodes, dtype=float)
     if x.ndim != 1 or x.size == 0:
         raise InvalidGridError("stencil nodes must be a non-empty vector")
+    if not (np.isfinite(x).all() and np.isfinite(center)):
+        raise InvalidGridError("stencil nodes and center must be finite")
     if np.unique(x).size != x.size:
         raise InvalidGridError("stencil nodes must be distinct")
     m = deriv_order
-    if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 0:
-        raise ConfigurationError(f"derivative order {m!r} is no nonnegative integer")
+    _check_count("the derivative order", m, minimum=0)
     if m >= x.size:
         raise ConfigurationError(
             f"derivative order {m} needs more than {x.size} stencil nodes"
@@ -217,7 +217,8 @@ def fourier_second_derivative(n):
 
     Standard closed form for an even number of points on [0, 2*pi).
     """
-    if n < 2 or n % 2 != 0:
+    _check_count("n", n, minimum=2)
+    if n % 2 != 0:
         raise ConfigurationError("the spectral differentiation matrix needs an even point count")
     h = 2 * np.pi / n
     idx = np.arange(n)
@@ -268,8 +269,7 @@ def pipeflow_factors(n):
     Axial: diffusion minus velocity advection, zero value at the inlet and
     zero flux at the outlet.
     """
-    if n < 8:
-        raise ConfigurationError(f"pipe flow factors need n >= 8, got {n}")
+    _check_count("n", n, minimum=8)
     rho_grid, z_grid = pipeflow_grids(n)
     alpha = _PIPE_DIFFUSIVITY
 
@@ -289,8 +289,8 @@ def trapezoid_weights(points):
     """Trapezoidal quadrature weights of a strictly increasing grid."""
     pts = np.asarray(points, dtype=float)
     gaps = np.diff(pts)
-    if pts.size < 2 or not np.all(gaps > 0):
-        raise InvalidGridError("trapezoidal weights need a strictly increasing grid")
+    if pts.size < 2 or not (np.all(gaps > 0) and np.isfinite(pts).all()):
+        raise InvalidGridError("trapezoidal weights need a strictly increasing finite grid")
     w = np.empty(pts.size)
     w[0] = gaps[0] / 2
     w[-1] = gaps[-1] / 2

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .errors import ConfigurationError, InvalidPotentialError, ShapeError
+from .errors import ConfigurationError, InvalidPotentialError, ShapeError, _check_count
 from .tensor import scale_modes, tucker
 
 __all__ = [
@@ -38,8 +38,7 @@ def hermite_eval(k, x):
     Returns shape ``(k,)`` for scalar x and ``(k, len(x))`` for a vector,
     with row i holding ``phi_i``.
     """
-    if k < 1:
-        raise ConfigurationError("need at least one basis function")
+    _check_count("k", k)
     scalar = np.isscalar(x) or np.ndim(x) == 0
     pts = np.atleast_1d(np.asarray(x, dtype=float))
     out = np.empty((k, pts.size))
@@ -60,7 +59,8 @@ def gauss_hermite(k):
     classical weight times ``exp(node^2)`` but stays bounded for large k and
     makes the discrete orthonormality relation hold by construction.
     """
-    if not 1 <= k <= _MAX_QUADRATURE:
+    _check_count("k", k)
+    if k > _MAX_QUADRATURE:
         raise ConfigurationError(f"quadrature size must lie in 1..{_MAX_QUADRATURE}, got {k}")
     if k == 1:
         nodes = np.zeros(1)

@@ -14,7 +14,7 @@ from time import perf_counter
 
 import numpy as np
 
-from .errors import ConfigurationError, InvalidInputError, ShapeError
+from .errors import InvalidInputError, ShapeError, _check_count
 from .linalg import matexp
 from .tensor import _active_counters, mu_mode_product, tucker
 
@@ -90,12 +90,6 @@ def matvec(op, u):
     for mu in range(2, op.d + 1):
         out += mu_mode_product(u, op.factors[mu - 1], mu)
     return out
-
-
-def _check_steps(steps):
-    """Reject a step count that is not an integer >= 1 (:class:`ConfigurationError`)."""
-    if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 1:
-        raise ConfigurationError(f"steps must be an integer >= 1, got {steps!r}")
 
 
 def _factor_exp(tau, a):
@@ -179,7 +173,7 @@ def step(cache, u, steps=1):
     :func:`kronmode.tensor.tucker`); the result is a view of the last one
     written, and ``u`` is not modified.  A single step returns a new array.
     """
-    _check_steps(steps)
+    _check_count("steps", steps)
     u = np.asarray(u)
     if u.shape != cache.shape:
         raise ShapeError(f"tensor shape {u.shape} does not match cache shape {cache.shape}")

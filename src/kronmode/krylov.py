@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .errors import ConfigurationError, NoConvergenceError, ShapeError
+from .errors import ConfigurationError, NoConvergenceError, ShapeError, _check_count
 from .kron import KroneckerOp, matvec
 from .linalg import matexp
 
@@ -56,8 +56,7 @@ def arnoldi_expmv(op, v, tau, tol=1e-10, m_max=50, max_substeps=1024):
         raise ShapeError(f"tensor shape {v.shape} does not match operator shape {op.shape}")
     if tol < 1e-14:
         raise ConfigurationError(f"tolerance {tol} below the supported minimum 1e-14")
-    if isinstance(m_max, bool) or not isinstance(m_max, (int, np.integer)) or m_max < 1:
-        raise ConfigurationError(f"m_max must be an integer >= 1, got {m_max!r}")
+    _check_count("m_max", m_max)
 
     dtype = np.result_type(np.float64, v.dtype, *(a.dtype for a in op.factors))
     v0 = np.asfortranarray(v).astype(dtype).ravel(order="F")

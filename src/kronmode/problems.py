@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, InvalidReferenceError, ShapeError
+from .errors import ConfigurationError, InvalidReferenceError, ShapeError, _check_count
 from .fd import (
     gpe_weighted_factors,
     heat_factors,
@@ -42,7 +42,7 @@ from .hermite import (
     inverse_transform,
     potential_operator,
 )
-from .kron import KroneckerOp, _cast, _check_steps, _exponentials, prepare, step
+from .kron import KroneckerOp, _cast, _exponentials, prepare, step
 from .krylov import _expmv_reference
 from .tensor import norm as tensor_norm
 from .tensor import count_flops, scale_modes, tucker
@@ -108,7 +108,7 @@ class _Run:
             raise ConfigurationError(f"unknown precision {precision!r}")
         self.precision = precision
         self.dtype = np.float32 if precision == "single" else np.float64
-        _check_steps(steps)
+        _check_count("steps", steps)
         _check_time("final time", T)
         self.steps, self.tau = steps, T / steps
 
@@ -182,8 +182,7 @@ def heat3d_run(n=40, p=2, T=1.0, steps=1, norm_kind="max", precision="double"):
     after the run, and the error check holds three too: the reference, the
     result and their difference.
     """
-    if n < 8:
-        raise ConfigurationError(f"the heat run needs n >= 8, got {n}")
+    _check_count("n", n, minimum=8)
     run = _Run(precision, T, steps)
     with run.timed():
         cos = np.cos(uniform_periodic_grid(0.0, 2 * np.pi, n).points)
@@ -209,8 +208,7 @@ def pipeflow_run(n=32, T=4.0, steps=1, norm_kind="max", precision="double"):
     phase timings, but inside the wall time of a CLI call, where it takes
     most of it.
     """
-    if n < 16:
-        raise ConfigurationError(f"the pipe flow run needs n >= 16, got {n}")
+    _check_count("n", n, minimum=16)
     run = _Run(precision, T, steps)
     with run.timed():
         rho_grid, z_grid = pipeflow_grids(n)
@@ -268,9 +266,8 @@ def hermite_solve(k, factors_of, T=1.0, steps=1, dtype=np.float64):
     propagator.  Returns ``(basis, coeffs0, coeffsT)`` with ``coeffs0`` in
     double; the basis serves all three directions.
     """
-    if k < 2:
-        raise ConfigurationError(f"the Hermite solver needs k >= 2, got {k}")
-    _check_steps(steps)
+    _check_count("k", k, minimum=2)
+    _check_count("steps", steps)
     basis = hermite_basis(k)
     coeffs0 = forward_transform((basis,) * 3, schrodinger_initial_state((basis.nodes,) * 3))
     coeffs = magnus_midpoint_step(factors_of(basis), _cast(coeffs0, dtype), 0.0, T / steps,
@@ -305,10 +302,9 @@ def hkp_run(k=40, T=1.0, k_ref=120, norm_kind="max", precision="double"):
     The reference has ``k_ref`` functions per direction, ``None`` skips it; see
     :func:`_hermite_run`.
     """
-    if k < 8:
-        raise ConfigurationError(f"the benchmark run needs k >= 8, got {k}")
-    if k_ref is not None and k_ref < k:
-        raise ConfigurationError("the reference resolution must be at least k")
+    _check_count("k", k, minimum=8)
+    if k_ref is not None:
+        _check_count("k_ref", k_ref, minimum=k)
     return _hermite_run("schrodinger-ti", k, T, 1, ti_factors,
                         None if k_ref is None else (k_ref, 1), norm_kind, precision)
 
@@ -334,7 +330,7 @@ def magnus_midpoint_step(factors_of_t, u, t, tau, steps=1):
     :func:`kronmode.tensor.count_flops` tallies the seconds of the
     exponentials (``exp_s``) and of the products (``mode_s``).
     """
-    _check_steps(steps)
+    _check_count("steps", steps)
     u = np.asarray(u)
     known = None  # the exponentials of the latest midpoint, by factor id
     for s in range(steps):
@@ -366,10 +362,9 @@ def hkmp_run(k=20, T=1.0, steps=32, ref_steps=2048, norm_kind="max", precision="
     The reference takes ``ref_steps`` steps at the same spatial resolution,
     isolating the time error; ``None`` skips it.  See :func:`_hermite_run`.
     """
-    if k < 8:
-        raise ConfigurationError(f"the benchmark run needs k >= 8, got {k}")
+    _check_count("k", k, minimum=8)
     if ref_steps is not None:
-        _check_steps(ref_steps)
+        _check_count("ref_steps", ref_steps)
     return _hermite_run("schrodinger-td", k, T, steps, hkmp_factors,
                         None if ref_steps is None else (k, ref_steps), norm_kind, precision)
 
@@ -424,66 +419,66 @@ def gpe_setup(n):
     return (grid,) * 3, KroneckerOp((a, a, a)), weights * 3
 
 
-class _PhaseRotation:
-    """In-place flow of the pointwise nonlinearity, ``psi <- psi exp(i h/2 (1 - |psi|^2/w))``.
+def _rotate(psi, h, inv_w, factor):
+    """In place, the exact pointwise nonlinear flow ``psi <- psi exp(i h/2 (1 - |psi|^2/w))``.
 
-    The flow leaves ``|psi|`` unchanged, so it is exact and two flows of
-    lengths h1 and h2 make one of length h1 + h2.  The phase and the
-    rotation factor share one buffer built once, in the state's precision:
-    the phase goes into its real part, then its sine into the imaginary
-    part, then its cosine over the phase.
+    The flow leaves ``|psi|`` unchanged, so two flows of lengths h1 and h2
+    make one of length h1 + h2.  ``inv_w`` is ``1/w`` in the real dtype of
+    the Fortran-ordered ``psi``; ``factor``, flat scratch of its size and
+    dtype that shares no memory with it, takes the phase in its real part,
+    then the sine in its imaginary part and the cosine over the phase.
     """
-
-    def __init__(self, weights, shape, dtype):
-        self.factor = np.empty(shape, dtype=dtype, order="F")
-        # Scaling a broadcast 1 keeps this at one full-size array.
-        inv_w = scale_modes(np.broadcast_to(1.0, shape), weights)
-        np.divide(1.0, inv_w, out=inv_w)
-        self.inv_w = inv_w.astype(self.factor.real.dtype, copy=False)
-
-    def __call__(self, psi, h):
-        phase, scratch = self.factor.real, self.factor.imag
-        np.square(psi.real, out=phase)
-        np.square(psi.imag, out=scratch)
-        phase += scratch
-        phase *= self.inv_w
-        np.subtract(1.0, phase, out=phase)
-        phase *= 0.5 * h
-        np.sin(phase, out=scratch)
-        np.cos(phase, out=phase)
-        psi *= self.factor
+    factor = factor.reshape(psi.shape, order="F")
+    phase, scratch = factor.real, factor.imag
+    np.square(psi.real, out=phase)
+    np.square(psi.imag, out=scratch)
+    phase += scratch
+    phase *= inv_w
+    np.subtract(1.0, phase, out=phase)
+    phase *= 0.5 * h
+    np.sin(phase, out=scratch)
+    np.cos(phase, out=phase)
+    psi *= factor
 
 
 def gpe_strang_step(linear_cache, weights, psi, steps=1):
     """``steps`` Strang steps of length ``linear_cache.tau`` in the weighted variables.
 
-    Each step is a half step of the exact pointwise nonlinear flow, a full
-    linear step via the mode-wise propagator and a half step of the
-    nonlinear flow again.  The closing half step of one step and the
-    opening one of the next are merged into one full nonlinear step, which
-    is exact up to rounding because the flow leaves ``|psi|`` unchanged.
-    The result keeps the precision of ``psi`` and the cache; ``psi`` itself
-    is not modified.  The loop owns two buffers, the working copy of
-    ``psi`` and a spare, which the linear steps' products write in turn
-    (each step is one :func:`kronmode.tensor.tucker` call given both); the
-    result is a view of one of them.
+    Each step is a half step of the exact pointwise nonlinear flow
+    (:func:`_rotate`), a full linear step via the mode-wise propagator and a
+    half step of the nonlinear flow again.  The closing half step of one
+    step and the opening one of the next are merged into one full nonlinear
+    step, which is exact up to rounding because the flow leaves ``|psi|``
+    unchanged.  The result keeps the precision of ``psi`` and the cache;
+    ``psi`` itself is not modified.  The loop owns two buffers, the working
+    copy of ``psi`` and a spare, which the linear steps' products write in
+    turn (each step is one :func:`kronmode.tensor.tucker` call given both);
+    each nonlinear step uses the one that does not hold the state as its
+    scratch, and the result is a view of one of them.  Besides the pair the
+    loop holds ``1/w``, a real array of the state's shape.
     """
-    _check_steps(steps)
+    _check_count("steps", steps)
     psi = np.asarray(psi)
     if psi.shape != linear_cache.shape:
         raise ShapeError(f"state shape {psi.shape} does not match cache shape {linear_cache.shape}")
     dtype = np.result_type(psi.dtype, np.complex64, *linear_cache.exps)
-    rotate = _PhaseRotation(weights, psi.shape, dtype)
-    tau = linear_cache.tau
+    # Scaling a broadcast 1 keeps this at one full-size array; its
+    # temporaries are freed before the pair exists.
+    inv_w = scale_modes(np.broadcast_to(1.0, psi.shape), weights)
+    np.divide(1.0, inv_w, out=inv_w)
+    inv_w = inv_w.astype(np.finfo(dtype).dtype, copy=False)
     pair = (np.empty(psi.size, dtype), np.empty(psi.size, dtype))
-    # Every array rotated in place below is a view of one of the pair.
+    tau = linear_cache.tau
+    # Every array rotated in place below is a view of one of the pair, and
+    # its scratch is the other one.
     work = pair[0].reshape(psi.shape, order="F")
     np.copyto(work, psi)
     psi = work
-    rotate(psi, 0.5 * tau)
+    _rotate(psi, 0.5 * tau, inv_w, pair[1])
     for s in range(steps):
         psi = tucker(psi, linear_cache.exps, pair)
-        rotate(psi, tau if s < steps - 1 else 0.5 * tau)
+        spare = pair[np.may_share_memory(psi, pair[0])]
+        _rotate(psi, tau if s < steps - 1 else 0.5 * tau, inv_w, spare)
     return psi
 
 
@@ -498,8 +493,7 @@ def gpe_run(n=32, T=2.5, tau=0.1, precision="double"):
     Both norms are accumulated in double precision, also in a
     single-precision run.
     """
-    if n < 16:
-        raise ConfigurationError(f"the vortex run needs n >= 16, got {n}")
+    _check_count("n", n, minimum=16)
     _check_time("final time", T)
     _check_time("step size", tau)
     if not math.isfinite(T / tau):

@@ -94,6 +94,16 @@ class TestFdWeights:
         with pytest.raises(ConfigurationError):
             fd_weights([-1.0, 0.0, 1.0], 0.0, order)
 
+    @pytest.mark.parametrize("nodes, center", [
+        ([0.0, 1.0, np.inf], 0.0),
+        ([0.0, 1.0, np.nan], 0.0),
+        ([-1.0, 0.0, 1.0], np.inf),
+        ([-1.0, 0.0, 1.0], np.nan),
+    ])
+    def test_nodes_and_center_are_finite(self, nodes, center):
+        with pytest.raises(InvalidGridError):
+            fd_weights(nodes, center, 1)
+
 
 class TestDiffMatrix:
     def test_periodic_circulant(self):
@@ -219,6 +229,26 @@ class TestGrids:
     def test_strict_monotonicity_required(self):
         with pytest.raises(InvalidGridError):
             Grid1D([0.0, 0.5, 0.5, 1.0])
+
+    @pytest.mark.parametrize("points, period", [
+        ([0.0, np.inf], None),
+        ([np.nan], None),
+        ([np.nan], 1.0),
+        ([0.0, 1.0, np.inf], None),
+    ])
+    def test_points_are_finite(self, points, period):
+        with pytest.raises(InvalidGridError):
+            Grid1D(points, period=period)
+
+    @pytest.mark.parametrize("make, args", [
+        *((uniform_grid, (0.0, 1.0, n)) for n in (2.5, 3.0, "3")),
+        *((sinh_clustered_grid, (n,)) for n in (16.5, True, "16", 1)),
+        *((pipeflow_factors, (n,)) for n in (16.5, "16")),
+        *((fourier_second_derivative, (n,)) for n in (8.0, "8")),
+    ], ids=lambda case: case.__name__ if callable(case) else repr(case[-1]))
+    def test_point_counts_are_integers(self, make, args):
+        with pytest.raises(ConfigurationError):
+            make(*args)
 
     def test_period_must_be_positive_and_finite(self):
         for period in (0.0, -1.0, np.inf, np.nan):
@@ -350,3 +380,8 @@ class TestGpeFactors:
     def test_rejects_bad_grid(self):
         with pytest.raises(InvalidGridError):
             trapezoid_weights([0.0, 2.0, 1.0])
+
+    @pytest.mark.parametrize("points", [[0.0, np.inf], [-np.inf, 0.0], [0.0, 1.0, np.inf]])
+    def test_trapezoid_weights_need_finite_points(self, points):
+        with pytest.raises(InvalidGridError):
+            trapezoid_weights(points)

@@ -68,6 +68,15 @@ class TestGaussHermite:
             gauss_hermite(501)
 
 
+@pytest.mark.parametrize("make", [
+    lambda k: hermite_eval(k, 0.0), gauss_hermite, hermite_basis,
+], ids=["hermite_eval", "gauss_hermite", "hermite_basis"])
+@pytest.mark.parametrize("k", [2.5, 8.0, True, "three"])
+def test_basis_sizes_are_integers(make, k):
+    with pytest.raises(ConfigurationError):
+        make(k)
+
+
 class TestTransforms:
     def test_ground_state_maps_to_unit_coefficient(self):
         basis = hermite_basis(12)

@@ -443,9 +443,10 @@ class TestGpe:
             gpe_strang_step(prepare(lin_op, 0.1), weights, psi, steps=2)
         assert tensor._lent_pair.get() == ()
 
-    def test_the_run_holds_under_five_states(self):
-        # The caller's psi, the loop's two buffers, the rotation factor and
-        # 1/w (half a complex state): 4.5 states and small change.
+    def test_the_run_holds_under_four_states(self):
+        # The caller's psi, the loop's two buffers (the rotation's scratch is
+        # the idle one) and 1/w (half a complex state): 3.5 states and small
+        # change.
         gpe_run(16, T=0.2, tau=0.1)  # first-call caches stay out of the count
         tracemalloc.start()
         try:
@@ -453,7 +454,7 @@ class TestGpe:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 4.8 * 32**3 * np.dtype(np.complex128).itemsize
+        assert peak <= 3.8 * 32**3 * np.dtype(np.complex128).itemsize
 
     @pytest.mark.parametrize("steps", [0, -1, 1.0, 2.5, "2", True, None])
     def test_steps_must_be_a_positive_integer(self, steps):
@@ -555,6 +556,11 @@ class TestDriverValidation:
         (gpe_run, {"n": 16, "tau": math.nan}),
         (gpe_run, {"n": 16, "tau": math.inf}),
         (gpe_run, {"n": 16, "T": 1e300, "tau": 1e-300}),  # T / tau overflows
+        *((run, {size: value}) for run, size in (
+            (hkmp_run, "k"), (hkp_run, "k"), (heat3d_run, "n"), (pipeflow_run, "n"),
+            (gpe_run, "n")) for value in (16.5, "sixteen")),
+        (hkp_run, {"k": 8, "k_ref": 9.5}),
+        (hkp_run, {"k": 8, "k_ref": "nine"}),
     ], ids=lambda case: case.__name__ if callable(case)
        else ",".join(f"{key}={value}" for key, value in case.items()))
     def test_rejected_before_any_work(self, monkeypatch, run, kwargs):
@@ -565,6 +571,11 @@ class TestDriverValidation:
             monkeypatch.setattr(problems, name, no_work)
         with pytest.raises(ConfigurationError):
             run(**kwargs)
+
+    @pytest.mark.parametrize("k", [8.5, "eight"])
+    def test_the_hermite_solver_takes_an_integer_size(self, k):
+        with pytest.raises(ConfigurationError):
+            hermite_solve(k, ti_factors)
 
 
 class TestSchrodingerInitialState:
