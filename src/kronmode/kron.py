@@ -183,6 +183,37 @@ def step(cache, u, steps=1):
     if steps > 1 and cache.exps[0].ndim == 2:
         dtype = np.result_type(u, *cache.exps)
         pair = (np.empty(u.size, dtype), np.empty(u.size, dtype))
-    for _ in range(steps):
-        u = tucker(u, cache.exps, pair)
+    return _advance(cache.exps, u, steps, pair)
+
+
+def _pair(u, dtype, lend):
+    """Two flat buffers of ``u``'s size and ``dtype``, the first one holding ``u``.
+
+    Returns the pair and the state, the Fortran-ordered view of the first
+    buffer.  With ``lend``, a Fortran-contiguous ``u`` of ``dtype`` is itself
+    the first buffer, so the products of :func:`_advance` overwrite it;
+    any other ``u`` is copied.
+    """
+    if lend and u.flags.f_contiguous and u.dtype == dtype:
+        first = u.reshape(-1, order="F")
+    else:
+        first = np.empty(u.size, dtype)
+        np.copyto(first.reshape(u.shape, order="F"), u)
+    return (first, np.empty(u.size, dtype)), first.reshape(u.shape, order="F")
+
+
+def _advance(exps, u, steps, pair, after_step=None):
+    """``steps`` :func:`kronmode.tensor.tucker` calls with ``exps``, from the state ``u``.
+
+    ``pair`` is empty or two flat buffers that each call's products write in
+    turn.  ``u`` may be a view of one of them, as the state :func:`_pair`
+    returns is: the products then overwrite it.  After step ``s`` (from 0),
+    ``after_step(u, idle, s)`` may change the state ``u`` in place, with
+    ``idle``, the buffer of the pair that does not hold it, as scratch.
+    Returns the last state, a view of one of the pair or a new array.
+    """
+    for s in range(steps):
+        u = tucker(u, exps, pair)
+        if after_step is not None:
+            after_step(u, pair[np.may_share_memory(u, pair[0])], s)
     return u

@@ -42,7 +42,7 @@ from .hermite import (
     inverse_transform,
     potential_operator,
 )
-from .kron import KroneckerOp, _cast, _exponentials, prepare, step
+from .kron import KroneckerOp, _advance, _cast, _exponentials, _pair, prepare, step
 from .krylov import _expmv_reference
 from .tensor import norm as tensor_norm
 from .tensor import count_flops, scale_modes, tucker
@@ -120,10 +120,20 @@ class _Run:
             yield
         self.total = time.perf_counter() - start
 
-    def exact(self, op, u0):
-        """``u0``, cast to the run's precision, advanced over the grid by ``exp(t*op)``."""
+    def exact(self, op, u0, lend=False):
+        """``u0``, cast to the run's precision, advanced over the grid by ``exp(t*op)``.
+
+        A state that nothing else reads is lent to the stepping as the first
+        of its two buffers (see :func:`kronmode.kron._pair`), whose products
+        then overwrite it: a single-precision cast, which is a copy, and
+        with ``lend`` ``u0`` itself.  Otherwise ``u0`` is not modified.
+        """
         u = _cast(u0, self.dtype)
-        return step(prepare(op, self.tau, u.dtype), u, steps=self.steps)
+        cache = prepare(op, self.tau, u.dtype)
+        if u is u0 and not lend:
+            return step(cache, u, steps=self.steps)
+        pair, u = _pair(u, np.result_type(u, *cache.exps), lend=True)
+        return _advance(cache.exps, u, self.steps, pair)
 
     def report(self, problem, u, error, norm_kind, **fields):
         """Report ``error(u)`` (nan for ``error=None``) with the timed block's split.
@@ -157,10 +167,18 @@ def relative_error(u, ref, norm_kind="max"):
     ref = np.asarray(ref)
     if u.shape != ref.shape:
         raise ShapeError(f"shapes {u.shape} and {ref.shape} differ")
+    return _relative_error(u, ref, norm_kind)
+
+
+def _relative_error(u, ref, norm_kind, out=None):
+    """:func:`relative_error` of two arrays of one shape, its difference written to ``out``.
+
+    ``out`` may be ``ref`` itself, whose norm is taken first.
+    """
     denom = tensor_norm(ref, norm_kind)
     if denom == 0.0:
         raise InvalidReferenceError("reference tensor has zero norm")
-    return tensor_norm(u - ref, norm_kind) / denom
+    return tensor_norm(np.subtract(u, ref, out=out), norm_kind) / denom
 
 
 # ---------------------------------------------------------------------------
@@ -175,22 +193,30 @@ def heat3d_run(n=40, p=2, T=1.0, steps=1, norm_kind="max", precision="double"):
     depend on the norm choice.
 
     Working memory, counted in full states (``n**3`` doubles): the setup
-    builds ``u0`` in Fortran order, one state.  The run holds three: ``u0``
-    and the two buffers that :func:`kronmode.kron.step` owns and its products
-    write in turn (a single step holds ``u0`` and two product outputs).  The
-    reference ``exp(-T) u0`` then overwrites ``u0``, which nothing reads
-    after the run, and the error check holds three too: the reference, the
-    result and their difference.
+    builds ``u0`` in Fortran order, one state.  The run holds two, at any
+    step count: ``u0``, lent to the stepping as the first of the two buffers
+    its products write in turn, and the second one.  After the run the
+    reference ``exp(-T) u0`` is built again in the buffer that does not hold
+    the result (a new array if that is the second one, which the run has
+    freed), and the error check holds two too: it takes the reference's
+    norm, then writes the difference over the reference.  In single
+    precision the stepping's two buffers are the cast copy of ``u0`` and one
+    more, half a state each, and the reference goes into ``u0``.
     """
     _check_count("n", n, minimum=8)
     run = _Run(precision, T, steps)
     with run.timed():
         cos = np.cos(uniform_periodic_grid(0.0, 2 * np.pi, n).points)
-        u0 = np.add(cos[:, None, None] + cos[None, :, None], cos[None, None, :], order="F")
-        u = run.exact(heat_factors(n, p), u0)
-    u0 *= np.exp(-T)  # the reference; the result of step never shares memory with u0
-    return run.report("heat", u, lambda u: relative_error(u, u0, norm_kind), norm_kind,
-                      n=n, p=float(p))
+        planes = cos[:, None, None] + cos[None, :, None]
+        u0 = np.add(planes, cos[None, None, :], order="F")
+        u = run.exact(heat_factors(n, p), u0, lend=True)
+    # Nothing reads u0 after the run (in double precision the products have
+    # overwritten it), so the reference goes into it unless the result is there.
+    ref = np.add(planes, cos[None, None, :], out=None if np.may_share_memory(u, u0) else u0,
+                 order="F")
+    ref *= np.exp(-T)
+    return run.report("heat", u, lambda u: _relative_error(u, ref, norm_kind, out=ref),
+                      norm_kind, n=n, p=float(p))
 
 
 # ---------------------------------------------------------------------------
@@ -450,36 +476,41 @@ def gpe_strang_step(linear_cache, weights, psi, steps=1):
     step and the opening one of the next are merged into one full nonlinear
     step, which is exact up to rounding because the flow leaves ``|psi|``
     unchanged.  The result keeps the precision of ``psi`` and the cache;
-    ``psi`` itself is not modified.  The loop owns two buffers, the working
-    copy of ``psi`` and a spare, which the linear steps' products write in
-    turn (each step is one :func:`kronmode.tensor.tucker` call given both);
-    each nonlinear step uses the one that does not hold the state as its
-    scratch, and the result is a view of one of them.  Besides the pair the
-    loop holds ``1/w``, a real array of the state's shape.
+    ``psi`` itself is not modified.  The loop owns two buffers, a copy of
+    ``psi`` and a spare, which the linear steps' products write in turn
+    (each step is one :func:`kronmode.tensor.tucker` call given both); each
+    nonlinear step uses the one that does not hold the state as its scratch,
+    and the result is a view of one of them.  Besides the pair the loop holds
+    ``1/w``, a real array of the state's shape, so with the caller's ``psi``
+    the call holds three and a half complex states.
     """
     _check_count("steps", steps)
     psi = np.asarray(psi)
     if psi.shape != linear_cache.shape:
         raise ShapeError(f"state shape {psi.shape} does not match cache shape {linear_cache.shape}")
+    return _strang(linear_cache, weights, psi, steps, lend=False)
+
+
+def _strang(linear_cache, weights, psi, steps, lend):
+    """The loop of :func:`gpe_strang_step`; with ``lend`` it may overwrite ``psi``.
+
+    With ``lend`` a Fortran-ordered ``psi`` of the loop's dtype is the first
+    buffer of its pair (see :func:`kronmode.kron._pair`) rather than copied.
+    """
     dtype = np.result_type(psi.dtype, np.complex64, *linear_cache.exps)
     # Scaling a broadcast 1 keeps this at one full-size array; its
     # temporaries are freed before the pair exists.
     inv_w = scale_modes(np.broadcast_to(1.0, psi.shape), weights)
     np.divide(1.0, inv_w, out=inv_w)
     inv_w = inv_w.astype(np.finfo(dtype).dtype, copy=False)
-    pair = (np.empty(psi.size, dtype), np.empty(psi.size, dtype))
+    pair, psi = _pair(psi, dtype, lend)
     tau = linear_cache.tau
-    # Every array rotated in place below is a view of one of the pair, and
-    # its scratch is the other one.
-    work = pair[0].reshape(psi.shape, order="F")
-    np.copyto(work, psi)
-    psi = work
+    # Every array rotated in place is a view of one of the pair, and its
+    # scratch is the other one.
     _rotate(psi, 0.5 * tau, inv_w, pair[1])
-    for s in range(steps):
-        psi = tucker(psi, linear_cache.exps, pair)
-        spare = pair[np.may_share_memory(psi, pair[0])]
-        _rotate(psi, tau if s < steps - 1 else 0.5 * tau, inv_w, spare)
-    return psi
+    return _advance(linear_cache.exps, psi, steps, pair,
+                    lambda psi, idle, s: _rotate(psi, tau if s < steps - 1 else 0.5 * tau,
+                                                 inv_w, idle))
 
 
 def gpe_run(n=32, T=2.5, tau=0.1, precision="double"):
@@ -492,6 +523,10 @@ def gpe_run(n=32, T=2.5, tau=0.1, precision="double"):
     variables), so values near machine precision indicate a healthy run.
     Both norms are accumulated in double precision, also in a
     single-precision run.
+
+    The Strang loop's pair of buffers starts in the memory of the initial
+    state, which nothing reads after the loop starts (see
+    :func:`gpe_strang_step`): the loop holds two complex states and ``1/w``.
     """
     _check_count("n", n, minimum=16)
     _check_time("final time", T)
@@ -505,7 +540,7 @@ def gpe_run(n=32, T=2.5, tau=0.1, precision="double"):
                     run.dtype)
         cache = prepare(linear_op, run.tau, psi.dtype)
         norm0 = _two_norm64(psi)
-        psi = gpe_strang_step(cache, weights, psi, steps=run.steps)
+        psi = _strang(cache, weights, psi, run.steps, lend=True)
     return run.report("gpe", psi, lambda psi: abs(_two_norm64(psi) - norm0) / norm0,
                       "weighted_two", n=n)
 

@@ -202,7 +202,8 @@ def tucker(u, mats, buffers=()):
     ``buffers`` is empty or two flat arrays that the caller owns: each cycled
     product of their size and dtype writes into the one that shares no
     memory with its input, so the result may be a view of one of them.
-    With no buffers it is a new array.
+    ``u`` may be a view of one of them too; the products after the first
+    may then overwrite it.  With no buffers the result is a new array.
     """
     start = perf_counter()
     u = np.asarray(u)

@@ -300,12 +300,14 @@ def unbuffered_steps(cache, u, steps):
     return u
 
 
-def buffer_case(seed, complex_factors, dtype, diagonal):
+def buffer_case(seed, complex_factors, dtype, diagonal, diagonal_first=False):
     rng = np.random.default_rng(seed)
     dims = (5, 6, 4)
     op = random_op(rng, dims, complex_factors)
     if diagonal:
         op = KroneckerOp((op.factors[0], np.diag(np.diagonal(op.factors[1])), op.factors[2]))
+    if diagonal_first:
+        op = KroneckerOp((np.diag(np.diagonal(op.factors[0])),) + op.factors[1:])
     cache = prepare(op, 0.05, dtype)
     return cache, np.asfortranarray(rng.standard_normal(dims).astype(dtype))
 
@@ -422,6 +424,53 @@ class TestStepBuffers:
         with pytest.raises(RuntimeError, match="product failed"):
             step(cache, u, steps=3)
         assert tensor._lent_pair.get() == ()
+
+
+class TestLentSteps:
+    """The stepping loop advances a state lent to it as the first buffer of its pair."""
+
+    @pytest.mark.parametrize("diagonal_first", [False, True])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("complex_factors", [False, True])
+    @pytest.mark.parametrize("steps", [1, 2, 3, 7])
+    def test_a_lent_state_steps_bit_identically_to_step(self, steps, complex_factors, dtype,
+                                                       diagonal_first):
+        cache, u = buffer_case(24, complex_factors, dtype, False, diagonal_first)
+        want = step(cache, u, steps=steps)
+        lent = u.astype(np.result_type(u, *cache.exps), order="F")
+        pair, state = kron._pair(lent, lent.dtype, lend=True)
+        assert np.shares_memory(pair[0], lent) and np.shares_memory(state, lent)
+        got = kron._advance(cache.exps, state, steps, pair)
+        assert got.dtype == want.dtype and got.flags.f_contiguous
+        assert got.tobytes(order="F") == want.tobytes(order="F")
+        assert tensor._lent_pair.get() == ()
+
+    def test_the_products_overwrite_a_lent_state(self):
+        cache, u = buffer_case(25, False, np.float64, False)
+        lent = u.copy(order="F")
+        pair, state = kron._pair(lent, lent.dtype, lend=True)
+        got = kron._advance(cache.exps, state, 1, pair)
+        # Three products: the second one writes the lent buffer, the third the spare.
+        assert np.shares_memory(got, pair[1]) and not np.array_equal(lent, u)
+
+    @pytest.mark.parametrize("lend", [False, True])
+    def test_a_state_that_cannot_be_lent_is_copied(self, lend):
+        cache, u = buffer_case(26, True, np.float64, False)
+        kept = u.copy()
+        # A real state of complex steps cannot be lent, and no state is without lend.
+        pair, state = kron._pair(u, np.complex128, lend=lend)
+        assert not np.shares_memory(pair[0], u) and state.dtype == np.complex128
+        kron._advance(cache.exps, state, 2, pair)
+        assert np.array_equal(u, kept)
+
+    @pytest.mark.parametrize("diagonal_first", [False, True])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("steps", [1, 2, 3])
+    def test_step_leaves_its_argument_unmodified(self, steps, dtype, diagonal_first):
+        cache, u = buffer_case(27, True, dtype, False, diagonal_first)
+        kept = u.copy()
+        got = step(cache, u, steps=steps)
+        assert np.array_equal(u, kept) and not np.shares_memory(got, u)
 
 
 shapes = st.lists(st.integers(1, 5), min_size=1, max_size=3).map(tuple)
