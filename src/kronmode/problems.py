@@ -42,7 +42,7 @@ from .hermite import (
     inverse_transform,
     potential_operator,
 )
-from .kron import KroneckerOp, _advance, _cast, _exponentials, _pair, prepare, step
+from .kron import KroneckerOp, _advance, _cast, _exponentials, _pair, prepare
 from .krylov import _expmv_reference
 from .tensor import norm as tensor_norm
 from .tensor import count_flops, scale_modes, tucker
@@ -123,16 +123,14 @@ class _Run:
     def exact(self, op, u0, lend=False):
         """``u0``, cast to the run's precision, advanced over the grid by ``exp(t*op)``.
 
-        A state that nothing else reads is lent to the stepping as the first
-        of its two buffers (see :func:`kronmode.kron._pair`), whose products
-        then overwrite it: a single-precision cast, which is a copy, and
-        with ``lend`` ``u0`` itself.  Otherwise ``u0`` is not modified.
+        The stepping owns two buffers (see :func:`kronmode.kron._pair`), whose
+        products write them in turn.  A state that nothing else reads is the
+        first of them: a single-precision cast, which is a copy, and with
+        ``lend`` ``u0`` itself.  Otherwise ``u0`` is copied and not modified.
         """
         u = _cast(u0, self.dtype)
         cache = prepare(op, self.tau, u.dtype)
-        if u is u0 and not lend:
-            return step(cache, u, steps=self.steps)
-        pair, u = _pair(u, np.result_type(u, *cache.exps), lend=True)
+        pair, u = _pair(u, np.result_type(u, *cache.exps), lend=lend or u is not u0)
         return _advance(cache.exps, u, self.steps, pair)
 
     def report(self, problem, u, error, norm_kind, **fields):
