@@ -117,9 +117,12 @@ def _cast(arr, dtype):
     if np.dtype(dtype) not in (np.float32, np.complex64):
         return arr
     out = arr.astype(np.complex64 if np.iscomplexobj(arr) else np.float32)
-    tiny = np.finfo(np.float32).tiny
-    for part in (out.real, out.imag) if np.iscomplexobj(out) else (out,):
-        part[np.abs(part) < tiny] = 0
+    # Every real and imaginary part, through a flat view (the new array has
+    # no gaps), in blocks: their |x| and mask stay small beside the state.
+    parts = out.ravel(order="K").view(np.float32)
+    for start in range(0, parts.size, 1 << 16):
+        block = parts[start : start + (1 << 16)]
+        block[np.abs(block) < np.finfo(np.float32).tiny] = 0
     return out
 
 
@@ -168,46 +171,38 @@ def step(cache, u, steps=1):
     Factors are applied in ascending direction order; any order gives the
     same result because the factor exponentials commute.
 
-    With ``steps > 1`` and a dense first factor, the call owns two buffers
-    of the result's size and dtype, which its products write in turn (see
-    :func:`kronmode.tensor.tucker`); the result is a view of the last one
-    written, and ``u`` is not modified.  A single step returns a new array.
+    The call owns two buffers of the result's size and dtype, which the
+    products of every step write in turn (see :func:`kronmode.tensor.tucker`);
+    the result is a view of one of them unless the last step's ``tucker``
+    returns a new array, and ``u`` is not modified.
     """
     _check_count("steps", steps)
     u = np.asarray(u)
     if u.shape != cache.shape:
         raise ShapeError(f"tensor shape {u.shape} does not match cache shape {cache.shape}")
-    # tucker's products write into the pair only in the chain of cycled
-    # products that starts with a dense direction 1.
-    pair = ()
-    if steps > 1 and cache.exps[0].ndim == 2:
-        dtype = np.result_type(u, *cache.exps)
-        pair = (np.empty(u.size, dtype), np.empty(u.size, dtype))
-    return _advance(cache.exps, u, steps, pair)
+    dtype = np.result_type(u, *cache.exps)
+    return _advance(cache.exps, u, steps, (np.empty(u.size, dtype), np.empty(u.size, dtype)))
 
 
-def _pair(u, dtype, lend):
-    """Two flat buffers of ``u``'s size and ``dtype``, the first one holding ``u``.
+def _pair(u):
+    """Two flat buffers of ``u``'s size and dtype, the first one ``u``'s own memory.
 
     Returns the pair and the state, the Fortran-ordered view of the first
-    buffer.  With ``lend``, a Fortran-contiguous ``u`` of ``dtype`` is itself
-    the first buffer, so the products of :func:`_advance` overwrite it;
-    any other ``u`` is copied.
+    buffer.  The stepping loop owns ``u``: the products of :func:`_advance`
+    overwrite it, so the caller reads it no more.  A ``u`` that is not
+    Fortran-contiguous is copied; the caller converts its dtype first
+    (``astype(..., copy=False)``).
     """
-    if lend and u.flags.f_contiguous and u.dtype == dtype:
-        first = u.reshape(-1, order="F")
-    else:
-        first = np.empty(u.size, dtype)
-        np.copyto(first.reshape(u.shape, order="F"), u)
-    return (first, np.empty(u.size, dtype)), first.reshape(u.shape, order="F")
+    first = u.ravel(order="F")
+    return (first, np.empty_like(first)), first.reshape(u.shape, order="F")
 
 
 def _advance(exps, u, steps, pair, after_step=None):
     """``steps`` :func:`kronmode.tensor.tucker` calls with ``exps``, from the state ``u``.
 
-    ``pair`` is empty or two flat buffers that each call's products write in
-    turn.  ``u`` may be a view of one of them, as the state :func:`_pair`
-    returns is: the products then overwrite it.  After step ``s`` (from 0),
+    ``pair`` is two flat buffers that each call's products write in turn.
+    ``u`` may be a view of one of them, as the state :func:`_pair` returns
+    is: the products then overwrite it.  After step ``s`` (from 0),
     ``after_step(u, idle, s)`` may change the state ``u`` in place, with
     ``idle``, the buffer of the pair that does not hold it, as scratch.
     Returns the last state, a view of one of the pair or a new array.

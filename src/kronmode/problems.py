@@ -9,12 +9,12 @@ equation with Strang splitting.
 
 Every driver supplies its initial state, generator and reference to one run
 path (:class:`_Run`), which casts to the requested precision, advances the
-state with one of three steppers -- the exact propagator
-(:func:`kronmode.kron.step`), the exponential midpoint rule
+state with one of three steppers -- the exact propagator (:meth:`_Run.exact`,
+the loop of :func:`kronmode.kron.step`), the exponential midpoint rule
 (:func:`magnus_midpoint_step`, both Schrodinger problems through
-:func:`hermite_solve`) or Strang splitting (:func:`gpe_strang_step`) -- and
-returns a :class:`RunReport` with the phase timing split into matrix
-exponentials, mode products and the rest.
+:func:`hermite_solve`) or Strang splitting (the loop of
+:func:`gpe_strang_step`) -- and returns a :class:`RunReport` with the phase
+timing split into matrix exponentials, mode products and the rest.
 """
 
 from __future__ import annotations
@@ -120,17 +120,17 @@ class _Run:
             yield
         self.total = time.perf_counter() - start
 
-    def exact(self, op, u0, lend=False):
+    def exact(self, op, u0):
         """``u0``, cast to the run's precision, advanced over the grid by ``exp(t*op)``.
 
-        The stepping owns two buffers (see :func:`kronmode.kron._pair`), whose
-        products write them in turn.  A state that nothing else reads is the
-        first of them: a single-precision cast, which is a copy, and with
-        ``lend`` ``u0`` itself.  Otherwise ``u0`` is copied and not modified.
+        The stepping owns ``u0``: its cast to the stepping's dtype is the
+        first of the two buffers whose products write them in turn (see
+        :func:`kronmode.kron._pair`).  In double precision that is ``u0``
+        itself, which the caller reads no more.
         """
         u = _cast(u0, self.dtype)
         cache = prepare(op, self.tau, u.dtype)
-        pair, u = _pair(u, np.result_type(u, *cache.exps), lend=lend or u is not u0)
+        pair, u = _pair(u.astype(np.result_type(u, *cache.exps), copy=False))
         return _advance(cache.exps, u, self.steps, pair)
 
     def report(self, problem, u, error, norm_kind, **fields):
@@ -192,7 +192,7 @@ def heat3d_run(n=40, p=2, T=1.0, steps=1, norm_kind="max", precision="double"):
 
     Working memory, counted in full states (``n**3`` doubles): the setup
     builds ``u0`` in Fortran order, one state.  The run holds two, at any
-    step count: ``u0``, lent to the stepping as the first of the two buffers
+    step count: ``u0``, handed to the stepping as the first of the two buffers
     its products write in turn, and the second one.  After the run the
     reference ``exp(-T) u0`` is built again in the buffer that does not hold
     the result (a new array if that is the second one, which the run has
@@ -207,7 +207,7 @@ def heat3d_run(n=40, p=2, T=1.0, steps=1, norm_kind="max", precision="double"):
         cos = np.cos(uniform_periodic_grid(0.0, 2 * np.pi, n).points)
         planes = cos[:, None, None] + cos[None, :, None]
         u0 = np.add(planes, cos[None, None, :], order="F")
-        u = run.exact(heat_factors(n, p), u0, lend=True)
+        u = run.exact(heat_factors(n, p), u0)
     # Nothing reads u0 after the run (in double precision the products have
     # overwritten it), so the reference goes into it unless the result is there.
     ref = np.add(planes, cos[None, None, :], out=None if np.may_share_memory(u, u0) else u0,
@@ -230,24 +230,27 @@ def pipeflow_run(n=32, T=4.0, steps=1, norm_kind="max", precision="double"):
     to about 1e-14; so the reported error is that of the integrator.  The
     reference runs after the timed block: it is outside ``total_s`` and the
     phase timings, but inside the wall time of a CLI call, where it takes
-    most of it.
+    most of it.  The run hands the initial state ``c0`` over to the stepping,
+    so the reference starts from ``c0`` built again.
     """
     _check_count("n", n, minimum=16)
     run = _Run(precision, T, steps)
     with run.timed():
-        rho_grid, z_grid = pipeflow_grids(n)
-        rho0 = (0.1 + 5.0) / 2.0
-        z0 = 3.0 / 2.0
-        c0 = np.asfortranarray(
-            np.exp(-8.0 * (rho_grid.points - rho0) ** 2)[:, None]
-            * np.exp(-8.0 * (z_grid.points - z0) ** 2)[None, :]
-        )
+        grids = pipeflow_grids(n)
         op = pipeflow_factors(n)
-        c = run.exact(op, c0)
+        c = run.exact(op, _blob(*grids))
     return run.report(
         "pipeflow", c,
-        lambda c: relative_error(c, _expmv_reference(op, c0, T), norm_kind),
+        lambda c: relative_error(c, _expmv_reference(op, _blob(*grids), T), norm_kind),
         norm_kind, n=n,
+    )
+
+
+def _blob(rho_grid, z_grid):
+    """The initial state of :func:`pipeflow_run`, a Gaussian blob in Fortran order."""
+    return np.asfortranarray(
+        np.exp(-8.0 * (rho_grid.points - (0.1 + 5.0) / 2.0) ** 2)[:, None]
+        * np.exp(-8.0 * (z_grid.points - 3.0 / 2.0) ** 2)[None, :]
     )
 
 
@@ -486,22 +489,22 @@ def gpe_strang_step(linear_cache, weights, psi, steps=1):
     psi = np.asarray(psi)
     if psi.shape != linear_cache.shape:
         raise ShapeError(f"state shape {psi.shape} does not match cache shape {linear_cache.shape}")
-    return _strang(linear_cache, weights, psi, steps, lend=False)
+    dtype = np.result_type(psi, np.complex64, *linear_cache.exps)
+    return _strang(linear_cache, weights, psi.astype(dtype, order="F"), steps)
 
 
-def _strang(linear_cache, weights, psi, steps, lend):
-    """The loop of :func:`gpe_strang_step`; with ``lend`` it may overwrite ``psi``.
+def _strang(linear_cache, weights, psi, steps):
+    """The loop of :func:`gpe_strang_step`, which owns ``psi``.
 
-    With ``lend`` a Fortran-ordered ``psi`` of the loop's dtype is the first
-    buffer of its pair (see :func:`kronmode.kron._pair`) rather than copied.
+    ``psi`` has the loop's complex dtype and is the first buffer of its pair
+    (see :func:`kronmode.kron._pair`): the loop overwrites it.
     """
-    dtype = np.result_type(psi.dtype, np.complex64, *linear_cache.exps)
     # Scaling a broadcast 1 keeps this at one full-size array; its
-    # temporaries are freed before the pair exists.
+    # temporaries are freed before the pair's second buffer exists.
     inv_w = scale_modes(np.broadcast_to(1.0, psi.shape), weights)
     np.divide(1.0, inv_w, out=inv_w)
-    inv_w = inv_w.astype(np.finfo(dtype).dtype, copy=False)
-    pair, psi = _pair(psi, dtype, lend)
+    inv_w = inv_w.astype(np.finfo(psi.dtype).dtype, copy=False)
+    pair, psi = _pair(psi)
     tau = linear_cache.tau
     # Every array rotated in place is a view of one of the pair, and its
     # scratch is the other one.
@@ -538,7 +541,7 @@ def gpe_run(n=32, T=2.5, tau=0.1, precision="double"):
                     run.dtype)
         cache = prepare(linear_op, run.tau, psi.dtype)
         norm0 = _two_norm64(psi)
-        psi = _strang(cache, weights, psi, run.steps, lend=True)
+        psi = _strang(cache, weights, psi, run.steps)
     return run.report("gpe", psi, lambda psi: abs(_two_norm64(psi) - norm0) / norm0,
                       "weighted_two", n=n)
 

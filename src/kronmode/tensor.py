@@ -78,12 +78,12 @@ def count_flops():
 _lent_pair: ContextVar[tuple] = ContextVar("kronmode_output_pair", default=())
 
 
-def _lent_output(u, shape, dtype):
-    """A lent buffer as a C-ordered ``shape`` array that shares no memory with ``u``, or None."""
+def _output(u, shape, dtype):
+    """A C-ordered ``shape`` array: a lent buffer that shares no memory with ``u``, or new."""
     for buf in _lent_pair.get():
         if buf.size == prod(shape) and buf.dtype == dtype and not np.may_share_memory(buf, u):
             return buf.reshape(shape)
-    return None
+    return np.empty(shape, dtype)
 
 
 def _check_direction(ndim, mu):
@@ -118,9 +118,9 @@ def mu_mode_product(u, mat, mu):
     ``u`` is read without a copy in Fortran order and in the layout
     :func:`tucker` passes: ``mu`` the last direction, its axis the fastest,
     the other axes in Fortran order (one multiplication).  Any other layout
-    is copied to Fortran order first.  In the layout :func:`tucker` passes,
-    the result goes into one of the buffers that call was given, when one
-    fits and shares no memory with ``u``; every other result is a new array.
+    is copied to Fortran order first.  The result goes into one of the
+    buffers the running :func:`tucker` call was given, when one fits and
+    shares no memory with ``u``; otherwise it is a new array.
     """
     u = np.asarray(u)
     mat = np.asarray(mat)
@@ -154,8 +154,8 @@ def mu_mode_product(u, mat, mu):
             # passes): one multiplication against the F-ordered (n_mu, N/n_mu)
             # unfolding, whose C-ordered product is the F-ordered result.
             unfold = front.reshape((n_mu, -1), order="F").astype(out_dtype, copy=False)
-            out = _lent_output(u, (m, unfold.shape[1]), out_dtype)
-            return np.matmul(mat, unfold, out=out).T.reshape(out_shape, order="F")
+            out = np.matmul(mat, unfold, out=_output(u, (m, unfold.shape[1]), out_dtype))
+            return out.T.reshape(out_shape, order="F")
 
     uf = u if u.flags.f_contiguous else np.asfortranarray(u)
     if uf.dtype != out_dtype:
@@ -166,17 +166,16 @@ def mu_mode_product(u, mat, mu):
         # (N/n_1, m) product is the F-ordered transposed result, so no
         # reordering copy is needed.
         unfold = uf.reshape((n_mu, -1), order="F")
-        tmp = np.matmul(unfold.T, mat.T)
+        tmp = np.matmul(unfold.T, mat.T, out=_output(u, (unfold.shape[1], m), out_dtype))
         return tmp.T.reshape(out_shape, order="F")
 
     n_left = prod(shp[:ax])
     n_right = prod(shp[ax + 1 :])
     cube = uf.reshape((n_left, n_mu, n_right), order="F")
-    out = np.empty((n_left, m, n_right), dtype=out_dtype, order="F")
-    # cube.T and out.T are C-contiguous stacks of n_right matrices, so numpy
+    # cube.T and out are C-contiguous stacks of n_right matrices, so numpy
     # runs one direct matrix-matrix multiplication per trailing index.
-    np.matmul(mat, cube.T, out=out.T)
-    return out.reshape(out_shape, order="F")
+    out = np.matmul(mat, cube.T, out=_output(u, (n_right, m, n_left), out_dtype))
+    return out.T.reshape(out_shape, order="F")
 
 
 def tucker(u, mats, buffers=()):
@@ -199,7 +198,7 @@ def tucker(u, mats, buffers=()):
     Dense entries after a diagonal one are applied in their own direction,
     and a layout left cycled is copied back to Fortran order.
 
-    ``buffers`` is empty or two flat arrays that the caller owns: each cycled
+    ``buffers`` is empty or two flat arrays that the caller owns: each
     product of their size and dtype writes into the one that shares no
     memory with its input, so the result may be a view of one of them.
     ``u`` may be a view of one of them too; the products after the first

@@ -161,6 +161,28 @@ class TestPrepare:
             assert exp.dtype == dtype
             assert np.array_equal(exp, matexp(0.7 * a).astype(dtype))
 
+    @pytest.mark.parametrize("layout", ["C", "F", "strided", "reversed"])
+    @pytest.mark.parametrize("complex_values", [False, True])
+    def test_the_cast_flushes_every_subnormal_part(self, complex_values, layout):
+        # 144000 entries (288000 parts if complex): full blocks of 2**16 parts
+        # and a partial one.
+        rng = np.random.default_rng(14)
+        shape = (2, 3, 120, 200)
+        arr = rng.standard_normal(shape) * 10.0 ** rng.integers(-46, 2, shape)
+        if complex_values:
+            arr = arr - 1j * arr[::-1]
+        arr = {"C": arr, "F": np.asfortranarray(arr), "strided": arr[..., ::2],
+               "reversed": arr.transpose(2, 0, 3, 1)[::-1]}[layout]
+        got = kron._cast(arr, np.float32)
+        want = arr.astype(got.dtype)
+        tiny = np.finfo(np.float32).tiny
+        for part in (want.real, want.imag) if complex_values else (want,):
+            part[np.abs(part) < tiny] = 0
+        assert got.dtype == (np.complex64 if complex_values else np.float32)
+        assert got.strides == want.strides
+        assert got.tobytes(order="A") == want.tobytes(order="A")
+        assert np.count_nonzero(want == 0) > np.count_nonzero(arr == 0)
+
     def test_shared_factor_object_is_exponentiated_once(self, monkeypatch):
         calls = []
         original = kron.matexp
@@ -313,12 +335,12 @@ def buffer_case(seed, complex_factors, dtype, diagonal, diagonal_first=False):
 
 
 class TestStepBuffers:
-    """``step`` with several steps writes its products into two buffers it owns."""
+    """``step`` writes its products into two buffers it owns, at any step count."""
 
     @pytest.mark.parametrize("diagonal", [False, True])
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("complex_factors", [False, True])
-    @pytest.mark.parametrize("steps", [2, 3, 7])
+    @pytest.mark.parametrize("steps", [1, 2, 3, 7])
     def test_steps_are_bit_identical_to_unbuffered_products(self, steps, complex_factors,
                                                            dtype, diagonal):
         cache, u = buffer_case(20, complex_factors, dtype, diagonal)
@@ -391,23 +413,43 @@ class TestStepBuffers:
             assert len(got) == 20
             assert all(g.tobytes(order="F") == want.tobytes(order="F") for g in got)
 
-    def test_a_diagonal_first_factor_takes_no_pair(self):
-        # tucker then applies every dense factor to a Fortran copy, which
-        # no product writes into the pair, so two buffers would be waste.
+    def test_a_diagonal_first_step_writes_into_its_pair(self, monkeypatch):
+        # Direction 2 is applied in its own direction, a batched product,
+        # and the scalings follow in place: u and the pair, three states.
         n = 48
         rng = np.random.default_rng(27)
         op = KroneckerOp((np.diag(rng.standard_normal(n)), rng.standard_normal((n, n)),
                           np.diag(rng.standard_normal(n))))
         cache = prepare(op, 0.01)
         u = np.asfortranarray(rng.standard_normal((n, n, n)))
+        want = unbuffered_steps(cache, u, 4)
+
+        def spying_tucker(u, mats, buffers=()):
+            out = tucker(u, mats, buffers)
+            assert len(buffers) == 2 and any(np.shares_memory(out, buf) for buf in buffers)
+            return out
+
+        monkeypatch.setattr(kron, "tucker", spying_tucker)
         step(cache, u, steps=2)  # first-call caches stay out of the count
         tracemalloc.start()
         try:
-            step(cache, u, steps=4)
+            got = step(cache, u, steps=4)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert got.tobytes(order="F") == want.tobytes(order="F")
         assert peak <= 3.25 * u.nbytes
+
+    def test_a_batched_product_writes_into_a_given_pair(self):
+        # A dense factor after a diagonal one is applied in its own
+        # direction, not in the cycled layout.
+        rng = np.random.default_rng(28)
+        u = np.asfortranarray(rng.standard_normal((3, 4, 5)))
+        mats = [rng.standard_normal(3), rng.standard_normal((4, 4)), rng.standard_normal(5)]
+        pair = (np.empty(u.size), np.empty(u.size))
+        got = tucker(u, mats, pair)
+        assert any(np.shares_memory(got, buf) for buf in pair)
+        assert got.tobytes(order="F") == tucker(u, mats).tobytes(order="F")
 
     def test_the_pair_is_released_when_a_product_raises(self, monkeypatch):
         cache, u = buffer_case(26, False, np.float64, False)
@@ -438,7 +480,7 @@ class TestLentSteps:
         cache, u = buffer_case(24, complex_factors, dtype, False, diagonal_first)
         want = step(cache, u, steps=steps)
         lent = u.astype(np.result_type(u, *cache.exps), order="F")
-        pair, state = kron._pair(lent, lent.dtype, lend=True)
+        pair, state = kron._pair(lent)
         assert np.shares_memory(pair[0], lent) and np.shares_memory(state, lent)
         got = kron._advance(cache.exps, state, steps, pair)
         assert got.dtype == want.dtype and got.flags.f_contiguous
@@ -448,20 +490,22 @@ class TestLentSteps:
     def test_the_products_overwrite_a_lent_state(self):
         cache, u = buffer_case(25, False, np.float64, False)
         lent = u.copy(order="F")
-        pair, state = kron._pair(lent, lent.dtype, lend=True)
+        pair, state = kron._pair(lent)
         got = kron._advance(cache.exps, state, 1, pair)
         # Three products: the second one writes the lent buffer, the third the spare.
         assert np.shares_memory(got, pair[1]) and not np.array_equal(lent, u)
 
-    @pytest.mark.parametrize("lend", [False, True])
-    def test_a_state_that_cannot_be_lent_is_copied(self, lend):
-        cache, u = buffer_case(26, True, np.float64, False)
+    @pytest.mark.parametrize("layout", ["C", "strided"])
+    def test_a_state_that_is_not_fortran_contiguous_is_copied(self, layout):
+        cache, u = buffer_case(26, True, np.complex128, False)
+        u = np.ascontiguousarray(u) if layout == "C" else np.asfortranarray(
+            np.repeat(u, 2, axis=0))[::2]
         kept = u.copy()
-        # A real state of complex steps cannot be lent, and no state is without lend.
-        pair, state = kron._pair(u, np.complex128, lend=lend)
-        assert not np.shares_memory(pair[0], u) and state.dtype == np.complex128
-        kron._advance(cache.exps, state, 2, pair)
+        pair, state = kron._pair(u)
+        assert not np.shares_memory(pair[0], u) and pair[0].flags.c_contiguous
+        got = kron._advance(cache.exps, state, 2, pair)
         assert np.array_equal(u, kept)
+        assert got.tobytes(order="F") == step(cache, kept, steps=2).tobytes(order="F")
 
     @pytest.mark.parametrize("diagonal_first", [False, True])
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])

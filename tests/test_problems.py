@@ -64,29 +64,40 @@ class TestRelativeError:
 
 
 class TestExactRun:
-    """``_Run.exact`` lends the stepping a state that nothing else reads."""
+    """``_Run.exact`` owns the state it is handed."""
 
     @pytest.mark.parametrize("precision", ["double", "single"])
-    @pytest.mark.parametrize("lend", [False, True])
     @pytest.mark.parametrize("steps", [1, 2, 3])
-    def test_the_result_is_that_of_step_bit_for_bit(self, steps, lend, precision):
+    def test_the_result_is_that_of_step_bit_for_bit(self, steps, precision):
         rng = np.random.default_rng(6)
         op = heat_factors(10, 2)
         u0 = np.asfortranarray(rng.standard_normal(op.shape))
         kept = u0.copy()
         dtype = np.float32 if precision == "single" else np.float64
         want = step(prepare(op, 0.3 / steps, dtype), kron._cast(u0, dtype), steps=steps)
-        got = problems._Run(precision, 0.3, steps).exact(op, u0, lend=lend)
+        got = problems._Run(precision, 0.3, steps).exact(op, u0)
         assert got.dtype == want.dtype
         assert got.tobytes(order="F") == want.tobytes(order="F")
-        # Only u0 itself, lent in double precision, is written.
-        assert np.array_equal(u0, kept) != (lend and precision == "double")
+        # A double u0 is the stepping's first buffer; a single run's is its cast.
+        assert np.array_equal(u0, kept) == (precision == "single")
 
-    def test_a_single_precision_cast_is_lent_without_lend(self):
-        # pipeflow's path: u0 is kept, but its cast copy is the first buffer.
-        # Lent, the run holds the copy and one more buffer, half a state
-        # each, beside u0; the cast's |x| and mask add 0.625 while it runs.
-        # Measured: 1.13 states (1.53 with a pair beside the copy).
+    @pytest.mark.parametrize("layout, unit", [("C", 1), ("F", 1j)])
+    def test_a_state_that_needs_conversion_is_copied(self, layout, unit):
+        # A C-ordered state, and a real one of complex steps.
+        op = KroneckerOp(tuple(unit * a for a in heat_factors(10, 2).factors))
+        u0 = np.random.default_rng(8).standard_normal(op.shape).copy(order=layout)
+        kept = u0.copy()
+        got = problems._Run("double", 0.3, 2).exact(op, u0)
+        want = step(prepare(op, 0.15), kept, steps=2)
+        assert np.array_equal(u0, kept) and not np.shares_memory(got, u0)
+        assert got.tobytes(order="F") == want.tobytes(order="F")
+
+    def test_a_single_precision_cast_is_lent(self):
+        # pipeflow's path in single precision: u0 is kept, its cast copy is
+        # the first buffer.  The run holds the copy and one more buffer, half
+        # a state each, beside u0; at n=32 the cast flushes its subnormals in
+        # one block, whose |x| and mask add 0.625 while it runs.  Measured:
+        # 1.13 states (1.53 with a pair beside the copy).
         op = heat_factors(32, 2)
         u0 = np.asfortranarray(np.random.default_rng(7).standard_normal(op.shape))
         run = problems._Run("single", 0.5, 4)
@@ -206,9 +217,10 @@ class TestHeat:
 
     def test_a_single_precision_run_lends_its_cast_copy(self):
         # u0 in double, its cast copy (lent to the stepping) and the second
-        # buffer, half a state each, and the cast's own temporaries.
-        # Measured: 2.16 (2.53 with the cast copy and a pair of its own).
-        assert self.peak_states(steps=4, precision="single") <= 2.25
+        # buffer, half a state each; the cast flushes subnormals in blocks.
+        # Measured: 2.04 (2.16 with a full-size |x| and mask, 2.53 with the
+        # cast copy and a pair of its own).
+        assert self.peak_states(steps=4, precision="single") <= 2.1
 
     def test_exponential_seconds_count_as_exponential_time(self, monkeypatch):
         factor_exp = kron._factor_exp
@@ -540,10 +552,10 @@ class TestGpe:
         want = gpe_strang_step(cache, weights, psi, steps=steps)
         assert np.array_equal(psi, kept) and not np.shares_memory(want, psi)
         lent = psi.copy(order="F")
-        got = problems._strang(cache, weights, lent, steps, lend=True)
+        got = problems._strang(cache, weights, lent, steps)
         assert got.dtype == want.dtype and got.flags.f_contiguous
         assert got.tobytes(order="F") == want.tobytes(order="F")
-        # The loop's first rotation was made in the lent memory.
+        # The loop's first rotation was made in the memory it was handed.
         assert not np.array_equal(lent, kept)
         assert tensor._lent_pair.get() == ()
 
