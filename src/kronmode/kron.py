@@ -10,6 +10,7 @@ dense ``M`` is never formed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from time import perf_counter
 
 import numpy as np
@@ -181,7 +182,8 @@ def step(cache, u, steps=1):
     if u.shape != cache.shape:
         raise ShapeError(f"tensor shape {u.shape} does not match cache shape {cache.shape}")
     dtype = np.result_type(u, *cache.exps)
-    return _advance(cache.exps, u, steps, (np.empty(u.size, dtype), np.empty(u.size, dtype)))
+    pair = (np.empty(u.size, dtype), np.empty(u.size, dtype))
+    return _advance(repeat(cache.exps, steps), u, pair)
 
 
 def _pair(u):
@@ -197,17 +199,18 @@ def _pair(u):
     return (first, np.empty_like(first)), first.reshape(u.shape, order="F")
 
 
-def _advance(exps, u, steps, pair, after_step=None):
-    """``steps`` :func:`kronmode.tensor.tucker` calls with ``exps``, from the state ``u``.
+def _advance(exps_per_step, u, pair, after_step=None):
+    """A :func:`kronmode.tensor.tucker` call for each entry of ``exps_per_step``, from ``u``.
 
-    ``pair`` is two flat buffers that each call's products write in turn.
-    ``u`` may be a view of one of them, as the state :func:`_pair` returns
-    is: the products then overwrite it.  After step ``s`` (from 0),
-    ``after_step(u, idle, s)`` may change the state ``u`` in place, with
-    ``idle``, the buffer of the pair that does not hold it, as scratch.
-    Returns the last state, a view of one of the pair or a new array.
+    The loop of all three compositions (a Magnus rule's exponentials change
+    every step).  ``pair`` is two flat buffers that each call's products
+    write in turn.  ``u`` may be a view of one of them, as the state
+    :func:`_pair` returns is: the products then overwrite it.  After step
+    ``s`` (from 0), ``after_step(u, idle, s)`` may change the state ``u`` in
+    place, with ``idle``, the buffer of the pair that does not hold it, as
+    scratch.  Returns the last state, a view of one of the pair or a new array.
     """
-    for s in range(steps):
+    for s, exps in enumerate(exps_per_step):
         u = tucker(u, exps, pair)
         if after_step is not None:
             after_step(u, pair[np.may_share_memory(u, pair[0])], s)

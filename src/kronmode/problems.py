@@ -9,12 +9,12 @@ equation with Strang splitting.
 
 Every driver supplies its initial state, generator and reference to one run
 path (:class:`_Run`), which casts to the requested precision, advances the
-state with one of three steppers -- the exact propagator (:meth:`_Run.exact`,
-the loop of :func:`kronmode.kron.step`), the exponential midpoint rule
+state by one of three compositions in one stepping loop -- the exact
+propagator (:meth:`_Run.exact`), the exponential midpoint rule
 (:func:`magnus_midpoint_step`, both Schrodinger problems through
-:func:`hermite_solve`) or Strang splitting (the loop of
-:func:`gpe_strang_step`) -- and returns a :class:`RunReport` with the phase
-timing split into matrix exponentials, mode products and the rest.
+:func:`hermite_solve`) or Strang splitting (:func:`gpe_strang_step`) --
+and returns a :class:`RunReport` with the phase timing split into matrix
+exponentials, mode products and the rest.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import math
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -129,9 +130,9 @@ class _Run:
         itself, which the caller reads no more.
         """
         u = _cast(u0, self.dtype)
-        cache = prepare(op, self.tau, u.dtype)
+        cache = prepare(op, self.tau, self.dtype)
         pair, u = _pair(u.astype(np.result_type(u, *cache.exps), copy=False))
-        return _advance(cache.exps, u, self.steps, pair)
+        return _advance(repeat(cache.exps, self.steps), u, pair)
 
     def report(self, problem, u, error, norm_kind, **fields):
         """Report ``error(u)`` (nan for ``error=None``) with the timed block's split.
@@ -342,8 +343,10 @@ def magnus_midpoint_step(factors_of_t, u, t, tau, steps=1):
     Advances ``u' = M(t) u`` from t to ``t + steps*tau``, each step with the
     generator frozen at the interval midpoint,
     ``u <- exp(tau * M(t_s + tau/2)) u``; second order in tau, and identical
-    to the exact propagator when M is constant.  ``factors_of_t(t)`` returns
-    the factors of M(t), one square matrix per direction of ``u``.
+    to the exact propagator when M is constant, whose stepping loop it runs.
+    ``factors_of_t(t)`` returns the factors of M(t), one square matrix per
+    direction of ``u``.  ``u`` is not modified: the first step's result is
+    the first buffer of the loop's pair, so the call holds two states beside it.
 
     Factor reuse: a factor is exponentiated only when ``factors_of_t``
     returns an array object that it did not return at the previous midpoint
@@ -359,14 +362,17 @@ def magnus_midpoint_step(factors_of_t, u, t, tau, steps=1):
     """
     _check_count("steps", steps)
     u = np.asarray(u)
-    known = None  # the exponentials of the latest midpoint, by factor id
-    for s in range(steps):
-        now = tuple(factors_of_t(t + (s + 0.5) * tau))
-        if len(now) != u.ndim:
-            raise ShapeError(f"expected {u.ndim} factors, got {len(now)}")
-        exps, known = _exponentials(tau, now, u.dtype, known)
-        u = tucker(u, exps)
-    return u
+
+    def midpoint_exponentials():
+        known = None  # the exponentials of the latest midpoint, by factor id
+        for s in range(steps):
+            mid = t + (s + 0.5) * tau
+            exps, known = _exponentials(tau, tuple(factors_of_t(mid)), u.dtype, known)
+            yield exps
+
+    exps_per_step = midpoint_exponentials()
+    pair, state = _pair(tucker(u, next(exps_per_step)))
+    return _advance(exps_per_step, state, pair)
 
 
 def hkmp_factors(basis):
@@ -509,7 +515,7 @@ def _strang(linear_cache, weights, psi, steps):
     # Every array rotated in place is a view of one of the pair, and its
     # scratch is the other one.
     _rotate(psi, 0.5 * tau, inv_w, pair[1])
-    return _advance(linear_cache.exps, psi, steps, pair,
+    return _advance(repeat(linear_cache.exps, steps), psi, pair,
                     lambda psi, idle, s: _rotate(psi, tau if s < steps - 1 else 0.5 * tau,
                                                  inv_w, idle))
 

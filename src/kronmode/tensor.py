@@ -184,25 +184,25 @@ def tucker(u, mats, buffers=()):
     Each entry is an ``m x n_mu`` matrix or a 1-D vector of length ``n_mu``,
     which stands for the diagonal matrix with that diagonal: the dense
     entries go through :func:`mu_mode_product` first, in ascending direction
-    order, and the diagonal ones then scale the result in place, all in one
-    multiply (``u`` itself is copied first, never written).  :func:`count_flops`
-    counts no ``macs`` for scalings, but the whole call in ``mode_s``.
-    Distinct directions commute, so the fixed order is a reproducibility
-    choice, not a mathematical one.  The result is Fortran-ordered and has
-    dtype ``np.result_type`` of ``u`` and the entries.
+    order, and the diagonal ones then scale the result in one multiply,
+    which writes the last product's output if it may (never ``u``).
+    :func:`count_flops` counts no ``macs`` for scalings, but the whole call
+    in ``mode_s``.  Distinct directions commute, so the fixed order is a
+    reproducibility choice, not a mathematical one.  The result is
+    Fortran-ordered and has dtype ``np.result_type`` of ``u`` and the entries.
 
     While the dense entries are those of directions 1, 2, ..., each one is
     applied while its axis is the fastest in memory, as direction d of the
     tensor with its axes cycled; each product's output has the next
     direction fastest, and after d products the layout is Fortran again.
-    Dense entries after a diagonal one are applied in their own direction,
-    and a layout left cycled is copied back to Fortran order.
+    Dense entries after a diagonal one are applied in their own direction;
+    the scaling writes a layout left cycled into a Fortran-ordered output.
 
     ``buffers`` is empty or two flat arrays that the caller owns: each
-    product of their size and dtype writes into the one that shares no
-    memory with its input, so the result may be a view of one of them.
-    ``u`` may be a view of one of them too; the products after the first
-    may then overwrite it.  With no buffers the result is a new array.
+    product, and a scaling not in place, of their size and dtype writes into
+    the one that shares no memory with its input, so the result may be a
+    view of one of them.  ``u`` may be such a view too; the writes after the
+    first product may then overwrite it.  With no buffers the result is new.
     """
     start = perf_counter()
     u = np.asarray(u)
@@ -215,34 +215,30 @@ def tucker(u, mats, buffers=()):
             raise ShapeError(
                 f"direction {mu}: matrix of shape {mat.shape} does not act on extent {n_mu}"
             )
-    # out is F-ordered with its axes cycled left `cycled` times.
+    # out is F-ordered with its axes cycled left `cycled` times.  scale is the
+    # outer product of the diagonals, built in Fortran order like the output,
+    # so that numpy multiplies in long contiguous loops.
     cycle = (*range(1, u.ndim), 0)
-    out, cycled = u, 0
+    out, cycled, scale = u, 0, None
     token = _lent_pair.set(tuple(buffers))
     try:
         for mu, mat in enumerate(mats, start=1):
             if mat.ndim != 2:
-                continue
-            if cycled == mu - 1:
+                scale = np.multiply(1 if scale is None else scale, _along(mu - 1, mat, u.ndim),
+                                    order="F")
+            elif cycled == mu - 1:
                 out = mu_mode_product(out.transpose(cycle), mat, u.ndim)
                 cycled += 1
             else:
                 out = mu_mode_product(_uncycle(out, cycled), mat, mu)
                 cycled = 0
+        out = _uncycle(out, cycled)
+        if scale is not None:
+            dtype = np.result_type(out, scale)
+            fits = out is not u and out.flags.f_contiguous and out.dtype == dtype
+            out = np.multiply(out, scale, out=out if fits else _output(out, out.T.shape, dtype).T)
     finally:
         _lent_pair.reset(token)
-    out = np.asarray(_uncycle(out, cycled), order="F")
-    diagonals = [(ax, v) for ax, v in enumerate(mats) if v.ndim == 1]
-    if diagonals:
-        dtype = np.result_type(out, *(v for _, v in diagonals))
-        if out is u or out.dtype != dtype:
-            out = np.array(out, dtype=dtype, order="F")
-        # One multiply by the outer product of the diagonals: built in Fortran
-        # order, like out, so that numpy runs it in long contiguous loops.
-        scale = 1
-        for ax, v in diagonals:
-            scale = np.multiply(scale, _along(ax, v, u.ndim), order="F")
-        out *= scale
     seconds = perf_counter() - start
     for counter in _active_counters.get():
         counter.mode_s += seconds

@@ -1,6 +1,7 @@
 import sys
 import threading
 import tracemalloc
+from itertools import repeat
 
 import numpy as np
 import pytest
@@ -413,13 +414,16 @@ class TestStepBuffers:
             assert len(got) == 20
             assert all(g.tobytes(order="F") == want.tobytes(order="F") for g in got)
 
-    def test_a_diagonal_first_step_writes_into_its_pair(self, monkeypatch):
-        # Direction 2 is applied in its own direction, a batched product,
-        # and the scalings follow in place: u and the pair, three states.
+    @pytest.mark.parametrize("kinds", ["dDd", "Ddd"])
+    def test_a_step_with_diagonals_writes_into_its_pair(self, monkeypatch, kinds):
+        # "dDd": direction 2 is applied in its own direction, a batched
+        # product, and the scalings follow in place.  "Ddd": the scalings
+        # write the cycled layout of direction 1's product into the other
+        # buffer.  Either way u and the pair, three states.
         n = 48
         rng = np.random.default_rng(27)
-        op = KroneckerOp((np.diag(rng.standard_normal(n)), rng.standard_normal((n, n)),
-                          np.diag(rng.standard_normal(n))))
+        op = KroneckerOp(tuple(rng.standard_normal((n, n)) if kind == "D"
+                               else np.diag(rng.standard_normal(n)) for kind in kinds))
         cache = prepare(op, 0.01)
         u = np.asfortranarray(rng.standard_normal((n, n, n)))
         want = unbuffered_steps(cache, u, 4)
@@ -440,16 +444,30 @@ class TestStepBuffers:
         assert got.tobytes(order="F") == want.tobytes(order="F")
         assert peak <= 3.25 * u.nbytes
 
-    def test_a_batched_product_writes_into_a_given_pair(self):
-        # A dense factor after a diagonal one is applied in its own
-        # direction, not in the cycled layout.
+    # "dDd": a dense factor after a diagonal one is applied in its own
+    # direction, a batched product.  "Ddd": the scaling writes the layout the
+    # dense product left cycled into the pair.  "ddd": the scaling alone.
+    @pytest.mark.parametrize("kinds", ["dDd", "Ddd", "ddd"])
+    def test_a_tucker_with_diagonals_writes_into_a_given_pair(self, kinds):
         rng = np.random.default_rng(28)
         u = np.asfortranarray(rng.standard_normal((3, 4, 5)))
-        mats = [rng.standard_normal(3), rng.standard_normal((4, 4)), rng.standard_normal(5)]
+        kept = u.copy()
+        mats = [rng.standard_normal((n, n)) if kind == "D" else rng.standard_normal(n)
+                for kind, n in zip(kinds, u.shape)]
         pair = (np.empty(u.size), np.empty(u.size))
         got = tucker(u, mats, pair)
         assert any(np.shares_memory(got, buf) for buf in pair)
+        assert np.array_equal(u, kept)
         assert got.tobytes(order="F") == tucker(u, mats).tobytes(order="F")
+
+    def test_an_all_diagonal_tucker_leaves_a_lent_state_unwritten(self):
+        rng = np.random.default_rng(29)
+        pair, state = kron._pair(np.asfortranarray(rng.standard_normal((3, 4, 5))))
+        kept = state.copy()
+        mats = [rng.standard_normal(n) for n in state.shape]
+        got = tucker(state, mats, pair)
+        assert np.shares_memory(got, pair[1]) and np.array_equal(state, kept)
+        assert got.tobytes(order="F") == tucker(kept, mats).tobytes(order="F")
 
     def test_the_pair_is_released_when_a_product_raises(self, monkeypatch):
         cache, u = buffer_case(26, False, np.float64, False)
@@ -482,7 +500,7 @@ class TestLentSteps:
         lent = u.astype(np.result_type(u, *cache.exps), order="F")
         pair, state = kron._pair(lent)
         assert np.shares_memory(pair[0], lent) and np.shares_memory(state, lent)
-        got = kron._advance(cache.exps, state, steps, pair)
+        got = kron._advance(repeat(cache.exps, steps), state, pair)
         assert got.dtype == want.dtype and got.flags.f_contiguous
         assert got.tobytes(order="F") == want.tobytes(order="F")
         assert tensor._lent_pair.get() == ()
@@ -491,7 +509,7 @@ class TestLentSteps:
         cache, u = buffer_case(25, False, np.float64, False)
         lent = u.copy(order="F")
         pair, state = kron._pair(lent)
-        got = kron._advance(cache.exps, state, 1, pair)
+        got = kron._advance(repeat(cache.exps, 1), state, pair)
         # Three products: the second one writes the lent buffer, the third the spare.
         assert np.shares_memory(got, pair[1]) and not np.array_equal(lent, u)
 
@@ -503,7 +521,7 @@ class TestLentSteps:
         kept = u.copy()
         pair, state = kron._pair(u)
         assert not np.shares_memory(pair[0], u) and pair[0].flags.c_contiguous
-        got = kron._advance(cache.exps, state, 2, pair)
+        got = kron._advance(repeat(cache.exps, 2), state, pair)
         assert np.array_equal(u, kept)
         assert got.tobytes(order="F") == step(cache, kept, steps=2).tobytes(order="F")
 

@@ -92,6 +92,14 @@ class TestExactRun:
         assert np.array_equal(u0, kept) and not np.shares_memory(got, u0)
         assert got.tobytes(order="F") == want.tobytes(order="F")
 
+    def test_a_single_precision_state_steps_in_double_in_a_double_run(self):
+        op = heat_factors(8, 2)
+        u0 = np.asfortranarray(np.random.default_rng(9).standard_normal(op.shape), np.float32)
+        got = problems._Run("double", 1.0, 2).exact(op, u0)
+        want = problems._Run("double", 1.0, 2).exact(op, u0.astype(np.float64))
+        assert got.dtype == np.float64
+        assert got.tobytes(order="F") == want.tobytes(order="F")
+
     def test_a_single_precision_cast_is_lent(self):
         # pipeflow's path in single precision: u0 is kept, its cast copy is
         # the first buffer.  The run holds the copy and one more buffer, half
@@ -391,6 +399,38 @@ class TestMagnusMidpoint:
         with pytest.raises(ShapeError):
             magnus_midpoint_step(lambda t: (np.eye(2, 3),), np.ones(2), 0.0, 0.1)
 
+    @pytest.mark.parametrize("count", [2, 4])
+    @pytest.mark.parametrize("wrong_step", [0, 2])
+    def test_a_wrong_number_of_factors_is_rejected_at_its_step(self, wrong_step, count):
+        a = np.random.default_rng(5).standard_normal((3, 3))
+        midpoints = []
+
+        def factors_of_t(t):
+            midpoints.append(t)
+            return (a,) * (count if len(midpoints) == wrong_step + 1 else 3)
+
+        u = np.ones((3, 3, 3))
+        with pytest.raises(ShapeError):
+            magnus_midpoint_step(factors_of_t, u, 0.0, 0.1, steps=4)
+        assert len(midpoints) == wrong_step + 1
+        assert np.array_equal(u, np.ones((3, 3, 3)))
+
+    def test_a_multi_step_run_holds_two_states_beside_its_argument(self):
+        # ti's factors: a dense one, then two diagonals.  The first step's
+        # result and one more buffer are the pair, which later steps write;
+        # the scaling of each step writes into the pair too.
+        factors_of_t = ti_factors(hermite_basis(48))
+        rng = np.random.default_rng(11)
+        u = np.asfortranarray(rng.standard_normal((48,) * 3) + 1j * rng.standard_normal((48,) * 3))
+        magnus_midpoint_step(factors_of_t, u, 0.0, 0.1, steps=3)  # first-call caches
+        tracemalloc.start()
+        try:
+            magnus_midpoint_step(factors_of_t, u, 0.0, 0.1, steps=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.3 * u.nbytes
+
     def test_single_precision_state_stays_single(self):
         basis = hermite_basis(6)
         c0 = forward_transform((basis,) * 3, schrodinger_initial_state((basis.nodes,) * 3))
@@ -399,16 +439,22 @@ class TestMagnusMidpoint:
         assert got.dtype == np.complex64
 
     def test_single_precision_exponentials_hold_no_subnormals(self, monkeypatch):
-        applied = []
-        original = problems.tucker
-        monkeypatch.setattr(problems, "tucker",
-                            lambda u, mats: applied.extend(mats) or original(u, mats))
-        lin_op = gpe_setup(32)[1]
-        u = np.ones(lin_op.shape, dtype=np.complex64)
-        magnus_midpoint_step(lambda t: lin_op.factors, u, 0.0, 0.1)
+        # Watch the exponentials where the steps get them, at every midpoint.
+        made = []
+        exponentials = problems._exponentials
+
+        def watching_exponentials(*args):
+            exps, known = exponentials(*args)
+            made.extend(exps)
+            return exps, known
+
+        monkeypatch.setattr(problems, "_exponentials", watching_exponentials)
+        a = gpe_setup(32)[1].factors[0]
+        u = np.ones((a.shape[0],) * 3, dtype=np.complex64)
+        magnus_midpoint_step(lambda t: (a, a, (1 + t) * a), u, 0.0, 0.1, steps=3)
         tiny = np.finfo(np.float32).tiny
-        assert len(applied) == 3
-        for e in applied:
+        assert len(made) == 9
+        for e in made:
             assert e.dtype == np.complex64
             for part in (e.real, e.imag):
                 assert not ((part != 0) & (np.abs(part) < tiny)).any()
