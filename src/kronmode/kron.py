@@ -172,45 +172,36 @@ def step(cache, u, steps=1):
     Factors are applied in ascending direction order; any order gives the
     same result because the factor exponentials commute.
 
-    The call owns two buffers of the result's size and dtype, which the
-    products of every step write in turn (see :func:`kronmode.tensor.tucker`);
-    the result is a view of one of them unless the last step's ``tucker``
-    returns a new array, and ``u`` is not modified.
+    ``u`` is not modified: the first step runs out of place (a
+    :func:`kronmode.tensor.tucker` call given no buffers), and its result is
+    the state that :func:`_advance` owns for the other steps.
     """
     _check_count("steps", steps)
     u = np.asarray(u)
     if u.shape != cache.shape:
         raise ShapeError(f"tensor shape {u.shape} does not match cache shape {cache.shape}")
-    dtype = np.result_type(u, *cache.exps)
-    pair = (np.empty(u.size, dtype), np.empty(u.size, dtype))
-    return _advance(repeat(cache.exps, steps), u, pair)
+    return _advance(repeat(cache.exps, steps - 1), tucker(u, cache.exps))
 
 
-def _pair(u):
-    """Two flat buffers of ``u``'s size and dtype, the first one ``u``'s own memory.
-
-    Returns the pair and the state, the Fortran-ordered view of the first
-    buffer.  The stepping loop owns ``u``: the products of :func:`_advance`
-    overwrite it, so the caller reads it no more.  A ``u`` that is not
-    Fortran-contiguous is copied; the caller converts its dtype first
-    (``astype(..., copy=False)``).
-    """
-    first = u.ravel(order="F")
-    return (first, np.empty_like(first)), first.reshape(u.shape, order="F")
-
-
-def _advance(exps_per_step, u, pair, after_step=None):
+def _advance(exps_per_step, u, after_step=None):
     """A :func:`kronmode.tensor.tucker` call for each entry of ``exps_per_step``, from ``u``.
 
     The loop of all three compositions (a Magnus rule's exponentials change
-    every step).  ``pair`` is two flat buffers that each call's products
-    write in turn.  ``u`` may be a view of one of them, as the state
-    :func:`_pair` returns is: the products then overwrite it.  After step
-    ``s`` (from 0), ``after_step(u, idle, s)`` may change the state ``u`` in
-    place, with ``idle``, the buffer of the pair that does not hold it, as
-    scratch.  Returns the last state, a view of one of the pair or a new array.
+    every step).  It owns ``u``: the first step takes ``u`` in the
+    stepping's dtype and Fortran order (a copy only if it is not so) as the
+    first of two flat buffers that each call's products write in turn, and
+    allocates the second; no step, no buffer.  A caller that must keep
+    ``u`` runs its first step out of place.  After step ``s`` (from 0),
+    ``after_step(u, idle, s)`` may change the state ``u`` in place, with
+    ``idle``, the buffer of the pair that does not hold it, as scratch.
+    Returns the last state, a view of one of the pair or a new array.
     """
+    pair = ()
     for s, exps in enumerate(exps_per_step):
+        if not pair:
+            u = u.astype(np.result_type(u, *exps), order="F", copy=False)
+            first = u.ravel(order="F")
+            pair = (first, np.empty_like(first))
         u = tucker(u, exps, pair)
         if after_step is not None:
             after_step(u, pair[np.may_share_memory(u, pair[0])], s)

@@ -54,9 +54,10 @@ def arnoldi_expmv(op, v, tau, tol=1e-10, m_max=50, max_substeps=1024):
     v = np.asarray(v)
     if v.shape != op.shape:
         raise ShapeError(f"tensor shape {v.shape} does not match operator shape {op.shape}")
-    if tol < 1e-14:
-        raise ConfigurationError(f"tolerance {tol} below the supported minimum 1e-14")
+    if not tol >= 1e-14:
+        raise ConfigurationError(f"the tolerance must be at least 1e-14, got {tol!r}")
     _check_count("m_max", m_max)
+    _check_count("max_substeps", max_substeps)
 
     dtype = np.result_type(np.float64, v.dtype, *(a.dtype for a in op.factors))
     v0 = np.asfortranarray(v).astype(dtype).ravel(order="F")

@@ -43,7 +43,7 @@ from .hermite import (
     inverse_transform,
     potential_operator,
 )
-from .kron import KroneckerOp, _advance, _cast, _exponentials, _pair, prepare
+from .kron import KroneckerOp, _advance, _cast, _exponentials, prepare
 from .krylov import _expmv_reference
 from .tensor import norm as tensor_norm
 from .tensor import count_flops, scale_modes, tucker
@@ -124,15 +124,12 @@ class _Run:
     def exact(self, op, u0):
         """``u0``, cast to the run's precision, advanced over the grid by ``exp(t*op)``.
 
-        The stepping owns ``u0``: its cast to the stepping's dtype is the
-        first of the two buffers whose products write them in turn (see
-        :func:`kronmode.kron._pair`).  In double precision that is ``u0``
-        itself, which the caller reads no more.
+        The stepping loop owns the cast (see :func:`kronmode.kron._advance`):
+        in double precision that is ``u0`` itself, which the caller reads no
+        more once the products overwrite it.
         """
-        u = _cast(u0, self.dtype)
-        cache = prepare(op, self.tau, self.dtype)
-        pair, u = _pair(u.astype(np.result_type(u, *cache.exps), copy=False))
-        return _advance(repeat(cache.exps, self.steps), u, pair)
+        return _advance(repeat(prepare(op, self.tau, self.dtype).exps, self.steps),
+                        _cast(u0, self.dtype))
 
     def report(self, problem, u, error, norm_kind, **fields):
         """Report ``error(u)`` (nan for ``error=None``) with the timed block's split.
@@ -345,8 +342,11 @@ def magnus_midpoint_step(factors_of_t, u, t, tau, steps=1):
     ``u <- exp(tau * M(t_s + tau/2)) u``; second order in tau, and identical
     to the exact propagator when M is constant, whose stepping loop it runs.
     ``factors_of_t(t)`` returns the factors of M(t), one square matrix per
-    direction of ``u``.  ``u`` is not modified: the first step's result is
-    the first buffer of the loop's pair, so the call holds two states beside it.
+    direction of ``u``.  ``u`` is not modified: the first step runs out of
+    place, and the stepping loop owns its result (see
+    :func:`kronmode.kron._advance`), so the call holds at most two states
+    beside ``u``.  A non-finite ``t`` or ``tau`` is rejected
+    (:class:`ConfigurationError`); a zero or negative ``tau`` is not.
 
     Factor reuse: a factor is exponentiated only when ``factors_of_t``
     returns an array object that it did not return at the previous midpoint
@@ -361,6 +361,8 @@ def magnus_midpoint_step(factors_of_t, u, t, tau, steps=1):
     exponentials (``exp_s``) and of the products (``mode_s``).
     """
     _check_count("steps", steps)
+    if not (math.isfinite(t) and math.isfinite(tau)):
+        raise ConfigurationError(f"the time and step must be finite, got t={t!r}, tau={tau!r}")
     u = np.asarray(u)
 
     def midpoint_exponentials():
@@ -371,8 +373,7 @@ def magnus_midpoint_step(factors_of_t, u, t, tau, steps=1):
             yield exps
 
     exps_per_step = midpoint_exponentials()
-    pair, state = _pair(tucker(u, next(exps_per_step)))
-    return _advance(exps_per_step, state, pair)
+    return _advance(exps_per_step, tucker(u, next(exps_per_step)))
 
 
 def hkmp_factors(basis):
@@ -483,9 +484,9 @@ def gpe_strang_step(linear_cache, weights, psi, steps=1):
     step and the opening one of the next are merged into one full nonlinear
     step, which is exact up to rounding because the flow leaves ``|psi|``
     unchanged.  The result keeps the precision of ``psi`` and the cache;
-    ``psi`` itself is not modified.  The loop owns two buffers, a copy of
-    ``psi`` and a spare, which the linear steps' products write in turn
-    (each step is one :func:`kronmode.tensor.tucker` call given both); each
+    ``psi`` itself is not modified: the loop owns a copy of it.  The
+    stepping loop's two buffers, the copy and a spare, take the linear
+    steps' products in turn (see :func:`kronmode.kron._advance`); each
     nonlinear step uses the one that does not hold the state as its scratch,
     and the result is a view of one of them.  Besides the pair the loop holds
     ``1/w``, a real array of the state's shape, so with the caller's ``psi``
@@ -502,20 +503,20 @@ def gpe_strang_step(linear_cache, weights, psi, steps=1):
 def _strang(linear_cache, weights, psi, steps):
     """The loop of :func:`gpe_strang_step`, which owns ``psi``.
 
-    ``psi`` has the loop's complex dtype and is the first buffer of its pair
-    (see :func:`kronmode.kron._pair`): the loop overwrites it.
+    ``psi`` is Fortran-ordered and has the loop's complex dtype: the opening
+    half step rotates it in place, and the stepping loop then owns it (see
+    :func:`kronmode.kron._advance`).
     """
     # Scaling a broadcast 1 keeps this at one full-size array; its
-    # temporaries are freed before the pair's second buffer exists.
+    # temporaries, and the opening half step's scratch, are freed before
+    # the stepping loop allocates its spare buffer.
     inv_w = scale_modes(np.broadcast_to(1.0, psi.shape), weights)
     np.divide(1.0, inv_w, out=inv_w)
     inv_w = inv_w.astype(np.finfo(psi.dtype).dtype, copy=False)
-    pair, psi = _pair(psi)
     tau = linear_cache.tau
-    # Every array rotated in place is a view of one of the pair, and its
-    # scratch is the other one.
-    _rotate(psi, 0.5 * tau, inv_w, pair[1])
-    return _advance(repeat(linear_cache.exps, steps), psi, pair,
+    _rotate(psi, 0.5 * tau, inv_w, np.empty(psi.size, psi.dtype))
+    # The later rotations take the idle buffer of the loop's pair as scratch.
+    return _advance(repeat(linear_cache.exps, steps), psi,
                     lambda psi, idle, s: _rotate(psi, tau if s < steps - 1 else 0.5 * tau,
                                                  inv_w, idle))
 
@@ -531,9 +532,9 @@ def gpe_run(n=32, T=2.5, tau=0.1, precision="double"):
     Both norms are accumulated in double precision, also in a
     single-precision run.
 
-    The Strang loop's pair of buffers starts in the memory of the initial
-    state, which nothing reads after the loop starts (see
-    :func:`gpe_strang_step`): the loop holds two complex states and ``1/w``.
+    The Strang loop owns the initial state, which nothing reads after the
+    loop starts (see :func:`gpe_strang_step`): the loop holds two complex
+    states and ``1/w``.
     """
     _check_count("n", n, minimum=16)
     _check_time("final time", T)

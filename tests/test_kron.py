@@ -336,7 +336,7 @@ def buffer_case(seed, complex_factors, dtype, diagonal, diagonal_first=False):
 
 
 class TestStepBuffers:
-    """``step`` writes its products into two buffers it owns, at any step count."""
+    """``step`` runs its first step out of place and the others in a pair it owns."""
 
     @pytest.mark.parametrize("diagonal", [False, True])
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -428,13 +428,17 @@ class TestStepBuffers:
         u = np.asfortranarray(rng.standard_normal((n, n, n)))
         want = unbuffered_steps(cache, u, 4)
 
+        calls = []
+
         def spying_tucker(u, mats, buffers=()):
             out = tucker(u, mats, buffers)
-            assert len(buffers) == 2 and any(np.shares_memory(out, buf) for buf in buffers)
+            calls.append(len(buffers) == 2 and any(np.shares_memory(out, buf)
+                                                   for buf in buffers))
             return out
 
         monkeypatch.setattr(kron, "tucker", spying_tucker)
         step(cache, u, steps=2)  # first-call caches stay out of the count
+        assert calls == [False, True]  # the first step runs out of place
         tracemalloc.start()
         try:
             got = step(cache, u, steps=4)
@@ -442,6 +446,7 @@ class TestStepBuffers:
         finally:
             tracemalloc.stop()
         assert got.tobytes(order="F") == want.tobytes(order="F")
+        assert calls[2:] == [False, True, True, True]
         assert peak <= 3.25 * u.nbytes
 
     # "dDd": a dense factor after a diagonal one is applied in its own
@@ -462,7 +467,9 @@ class TestStepBuffers:
 
     def test_an_all_diagonal_tucker_leaves_a_lent_state_unwritten(self):
         rng = np.random.default_rng(29)
-        pair, state = kron._pair(np.asfortranarray(rng.standard_normal((3, 4, 5))))
+        pair = (np.empty(60), np.empty(60))
+        state = pair[0].reshape((3, 4, 5), order="F")
+        state[...] = rng.standard_normal(state.shape)
         kept = state.copy()
         mats = [rng.standard_normal(n) for n in state.shape]
         got = tucker(state, mats, pair)
@@ -487,7 +494,20 @@ class TestStepBuffers:
 
 
 class TestLentSteps:
-    """The stepping loop advances a state lent to it as the first buffer of its pair."""
+    """The stepping loop owns the state it is handed.
+
+    A Fortran-ordered state of the stepping's dtype is the first buffer of
+    the loop's pair, which the products overwrite; any other is copied.
+    """
+
+    @staticmethod
+    def advance(cache, u, steps):
+        """``kron._advance`` from ``u``, and the pair after each step: state, idle buffer."""
+        pairs = []
+        got = kron._advance(repeat(cache.exps, steps), u,
+                            lambda state, idle, s: pairs.append((state, idle)))
+        assert tensor._lent_pair.get() == ()
+        return got, pairs
 
     @pytest.mark.parametrize("diagonal_first", [False, True])
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -498,32 +518,51 @@ class TestLentSteps:
         cache, u = buffer_case(24, complex_factors, dtype, False, diagonal_first)
         want = step(cache, u, steps=steps)
         lent = u.astype(np.result_type(u, *cache.exps), order="F")
-        pair, state = kron._pair(lent)
-        assert np.shares_memory(pair[0], lent) and np.shares_memory(state, lent)
-        got = kron._advance(repeat(cache.exps, steps), state, pair)
+        got, pairs = self.advance(cache, lent, steps)
         assert got.dtype == want.dtype and got.flags.f_contiguous
         assert got.tobytes(order="F") == want.tobytes(order="F")
-        assert tensor._lent_pair.get() == ()
+        # After every step, lent's memory is one buffer of the pair.
+        assert len(pairs) == steps
+        for state, idle in pairs:
+            assert np.shares_memory(state, lent) != np.shares_memory(idle, lent)
 
     def test_the_products_overwrite_a_lent_state(self):
         cache, u = buffer_case(25, False, np.float64, False)
         lent = u.copy(order="F")
-        pair, state = kron._pair(lent)
-        got = kron._advance(repeat(cache.exps, 1), state, pair)
+        got, [(state, idle)] = self.advance(cache, lent, 1)
         # Three products: the second one writes the lent buffer, the third the spare.
-        assert np.shares_memory(got, pair[1]) and not np.array_equal(lent, u)
+        assert got is state and np.shares_memory(idle, lent)
+        assert not np.array_equal(lent, u)
 
     @pytest.mark.parametrize("layout", ["C", "strided"])
     def test_a_state_that_is_not_fortran_contiguous_is_copied(self, layout):
         cache, u = buffer_case(26, True, np.complex128, False)
         u = np.ascontiguousarray(u) if layout == "C" else np.asfortranarray(
             np.repeat(u, 2, axis=0))[::2]
+        self.check_copied(cache, u)
+
+    def test_a_real_state_of_complex_steps_is_copied(self):
+        self.check_copied(*buffer_case(26, True, np.float64, False))
+
+    def check_copied(self, cache, u):
         kept = u.copy()
-        pair, state = kron._pair(u)
-        assert not np.shares_memory(pair[0], u) and pair[0].flags.c_contiguous
-        got = kron._advance(repeat(cache.exps, 2), state, pair)
+        got, pairs = self.advance(cache, u, 2)
         assert np.array_equal(u, kept)
+        assert not any(np.shares_memory(buf, u) for pair in pairs for buf in pair)
         assert got.tobytes(order="F") == step(cache, kept, steps=2).tobytes(order="F")
+
+    def test_no_steps_return_the_state_and_allocate_nothing(self):
+        # A C-ordered real state of complex steps: any step would copy it.
+        cache = prepare(KroneckerOp(tuple(1j * a for a in heat_factors(16, 2).factors)), 0.1)
+        u = np.ones(cache.shape)
+        tracemalloc.start()
+        try:
+            got = kron._advance(repeat(cache.exps, 0), u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got is u
+        assert peak < 0.05 * u.nbytes
 
     @pytest.mark.parametrize("diagonal_first", [False, True])
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])

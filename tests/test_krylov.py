@@ -145,6 +145,19 @@ def test_m_max_is_an_integer(m_max):
         arnoldi_expmv(KroneckerOp((np.eye(3),)), np.ones(3), 0.1, m_max=m_max)
 
 
+@pytest.mark.parametrize("max_substeps", [0, -1, 2.5, True])
+def test_max_substeps_is_a_positive_integer(max_substeps):
+    with pytest.raises(ConfigurationError):
+        arnoldi_expmv(KroneckerOp((np.eye(3),)), np.ones(3), 0.1, max_substeps=max_substeps)
+
+
+def test_a_tolerance_that_is_not_a_number_is_rejected():
+    # nan passes a plain ``tol < 1e-14`` check and spends the whole substep budget.
+    v = np.random.default_rng(7).standard_normal((8, 8, 8))
+    with pytest.raises(ConfigurationError):
+        arnoldi_expmv(heat_factors(8, 2), v, 0.1, tol=math.nan)
+
+
 def test_complex_operator():
     rng = np.random.default_rng(6)
     b = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
