@@ -22,6 +22,8 @@ from contextlib import contextmanager
 import numpy
 import scipy.linalg
 
+from .errors import ConfigurationError, _check_count
+
 __all__ = ["limit", "max_threads", "thread_counts"]
 
 # pool -> (package, library directory, library glob, symbol suffix)
@@ -80,8 +82,17 @@ def limit(threads):
     threads at once share them: while they overlap, a body may run at
     another scope's count, and once the last of them closes the pools are
     back at the counts from before the first one opened.
+
+    ``threads`` must be an integer from 1 to :func:`max_threads` (when a
+    pool is found); any other value raises :class:`ConfigurationError`
+    before either pool is touched.
     """
     global _depth, _base
+    _check_count("threads", threads)
+    most = max_threads()
+    if most is not None and threads > most:
+        raise ConfigurationError(
+            f"threads must be at most {most} (the OpenBLAS maximum), got {threads!r}")
     controls = [(get, set_) for get, set_, _ in _pools().values()]
     with _lock:
         saved = [get() for get, _ in controls]

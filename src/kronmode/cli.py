@@ -1,6 +1,14 @@
 """Benchmark command line: configure runs, execute them, emit reports.
 
-Exit codes: 0 success, 1 numerical or I/O failure, 2 usage error.
+The parser checks only the form of a value: an integer, a number, ``inf``
+for a spectral order, a comma-separated list, one of a flag's choices.
+Whether a value is in range is decided once, by the library code that takes
+it (the drivers in :mod:`kronmode.problems`, :func:`kronmode.blas.limit` for
+``--threads``), before any step runs; the :class:`ConfigurationError` it
+raises is a usage error.
+
+Exit codes: 0 success, 1 numerical or I/O failure, 2 usage error (a
+malformed or unknown flag, or a setting the library rejects).
 """
 
 from __future__ import annotations
@@ -15,7 +23,7 @@ import sys
 import numpy as np
 
 from . import blas, problems
-from .errors import KronmodeError
+from .errors import ConfigurationError, KronmodeError
 from .fd import heat_factors
 from .hermite import forward_transform, hermite_basis, inverse_transform
 from .kron import KroneckerOp, prepare, step
@@ -37,57 +45,17 @@ def _int(text):
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
 
 
-def _positive_int(text):
-    value = _int(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
-
-
 def _count_or_none(text):
-    """A non-negative integer; ``0`` gives ``None``, which disables what the flag sets."""
-    value = _int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
-    return value or None
-
-
-def _thread_count(text):
-    value = _positive_int(text)
-    most = blas.max_threads()
-    if most is not None and value > most:
-        raise argparse.ArgumentTypeError(
-            f"expected at most {most} threads (the OpenBLAS maximum), got {text!r}")
-    return value
-
-
-def _positive_float(text):
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
-    if not value > 0 or not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}")
-    return value
+    """An integer; ``0`` gives ``None``, which disables what the flag sets."""
+    return _int(text) or None
 
 
 def _accuracy_order(text):
-    if text.strip().lower() in ("inf", "spectral"):
-        return math.inf
-    value = _positive_int(text)
-    if value % 2 != 0:
-        raise argparse.ArgumentTypeError(f"expected an even order or 'inf', got {text!r}")
-    return value
+    return math.inf if text.strip().lower() in ("inf", "spectral") else _int(text)
 
 
 def _int_list(text):
-    try:
-        values = [int(part) for part in text.split(",") if part.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
-    if not values or any(v <= 0 for v in values):
-        raise argparse.ArgumentTypeError(f"expected positive integers, got {text!r}")
-    return values
+    return [_int(part) for part in text.split(",") if part.strip()]
 
 
 # Problem command -> (its driver in kronmode.problems, help line).  Drivers are
@@ -105,17 +73,17 @@ _PROBLEMS = {
 # Driver parameter -> (flag, argparse settings).  A problem command has one
 # flag per parameter of its driver, with the driver's default.
 _FLAGS = {
-    "n": ("--n", dict(type=_positive_int, help="grid points per direction")),
-    "k": ("--k", dict(type=_positive_int, help="basis functions per direction")),
+    "n": ("--n", dict(type=_int, help="grid points per direction")),
+    "k": ("--k", dict(type=_int, help="basis functions per direction")),
     "p": ("--p", dict(type=_accuracy_order,
                       help="even finite-difference order, or 'inf' for spectral")),
-    "T": ("--T", dict(type=_positive_float, help="final time")),
-    "steps": ("--steps", dict(type=_positive_int, help="number of time steps")),
+    "T": ("--T", dict(type=float, help="final time")),
+    "steps": ("--steps", dict(type=_int, help="number of time steps")),
     "k_ref": ("--k-ref", dict(type=_count_or_none,
                               help="reference resolution for the error (0 disables)")),
     "ref_steps": ("--ref-steps", dict(type=_count_or_none,
                                       help="reference step count for the error (0 disables)")),
-    "tau": ("--tau", dict(type=_positive_float,
+    "tau": ("--tau", dict(type=float,
                           help="nominal time step: the run takes steps = max(1, round(T/tau)) "
                                "equal steps of T/steps")),
     "norm_kind": ("--norm", dict(choices=("max", "two"), help="norm for the reported relative "
@@ -147,19 +115,17 @@ def build_parser():
                                          "other flag goes to the problem's own command "
                                          "(see kronmode <problem> -h)")
     sweep.add_argument("--problem", choices=tuple(_PROBLEMS), required=True)
-    sweep.add_argument("--n", dest="n_list", type=_int_list, default=[],
+    sweep.add_argument("--n", dest="n_list", type=_int_list, default=None,
                        help="comma-separated grid sizes (grid-based problems)")
-    sweep.add_argument("--k", dest="k_list", type=_int_list, default=[],
+    sweep.add_argument("--k", dest="k_list", type=_int_list, default=None,
                        help="comma-separated basis sizes (Hermite problems)")
 
-    selftest = sub.add_parser("selftest", help="run the built-in oracle equivalence checks")
-    selftest.add_argument("--seed", type=int, default=1234,
-                          help="seed for the randomized checks (default: 1234)")
+    sub.add_parser("selftest", help="run the built-in oracle equivalence checks")
 
     for name, command in sub.choices.items():
         command.allow_abbrev = False  # an abbreviated flag is an unrecognized one
         if name != "sweep":  # sweep hands it to the problem's command
-            command.add_argument("--threads", type=_thread_count, default=None,
+            command.add_argument("--threads", type=_int, default=None,
                                  help="thread count of both OpenBLAS pools (numpy's and "
                                       "scipy's) for the duration of the run; restored "
                                       "afterwards (default: left as they are)")
@@ -167,7 +133,7 @@ def build_parser():
 
 
 def parse_args(argv):
-    """Parse and validate into a namespace; exits with code 2 on usage errors.
+    """Parse into a namespace; exits with code 2 on a malformed or unknown flag.
 
     ``sweep`` reads ``--problem``, ``--n`` and ``--k`` and hands every other
     argument to the swept problem's own command, whose parser supplies the
@@ -182,7 +148,7 @@ def parse_args(argv):
         return cfg
     own = parser.parse_args([cfg.problem, *rest])
     swept, foreign = ("n", "k") if "n" in vars(own) else ("k", "n")  # grid-based, else Hermite
-    if getattr(cfg, f"{foreign}_list"):
+    if getattr(cfg, f"{foreign}_list") is not None:
         parser.error(f"sweep over {cfg.problem} does not take --{foreign}")
     if not getattr(cfg, f"{swept}_list"):
         parser.error(f"sweep over {cfg.problem} needs --{swept} with at least one value")
@@ -268,8 +234,8 @@ def _emit(text, out_path):
             handle.write(text)
 
 
-def _run_selftest(cfg):
-    rng = np.random.default_rng(cfg.seed)
+def _run_selftest():
+    rng = np.random.default_rng(1234)
     checks = []
 
     def check(name, fn):
@@ -343,12 +309,15 @@ def run(cfg):
 
     With ``cfg.threads`` set, both OpenBLAS pools run at that many threads
     for the duration of the call and get their earlier counts back after it.
+    A setting the library rejects (:class:`ConfigurationError`) exits 2,
+    every other :class:`KronmodeError` and an I/O error exit 1, each with
+    one line on stderr.
     """
     threads = contextlib.nullcontext() if cfg.threads is None else blas.limit(cfg.threads)
     try:
         with threads:
             if cfg.command == "selftest":
-                return _run_selftest(cfg)
+                return _run_selftest()
             if cfg.command == "sweep":
                 reports = _execute_sweep(cfg)
                 single = False
@@ -365,7 +334,7 @@ def run(cfg):
             return 0
     except KronmodeError as exc:
         print(f"kronmode: error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, ConfigurationError) else 1
     except OSError as exc:
         print(f"kronmode: i/o error: {exc}", file=sys.stderr)
         return 1

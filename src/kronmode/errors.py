@@ -2,6 +2,8 @@
 
 import numbers
 
+import numpy as np
+
 
 class KronmodeError(Exception):
     """Base class for every error raised by this package."""
@@ -54,3 +56,12 @@ def _check_count(name, value, minimum=1):
     """
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
         raise ConfigurationError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def _check_finite(name, value):
+    """Reject a time or step that is not finite (:class:`ConfigurationError`).
+
+    Zero and negative values pass: a step may run backwards or not at all.
+    """
+    if not np.isfinite(value):
+        raise ConfigurationError(f"the {name} must be finite, got {value!r}")

@@ -219,7 +219,7 @@ def fourier_second_derivative(n):
     """
     _check_count("n", n, minimum=2)
     if n % 2 != 0:
-        raise ConfigurationError("the spectral differentiation matrix needs an even point count")
+        raise ConfigurationError(f"the spectral differentiation matrix needs an even n, got {n}")
     h = 2 * np.pi / n
     idx = np.arange(n)
     diff = idx[:, None] - idx[None, :]

@@ -15,7 +15,7 @@ from time import perf_counter
 
 import numpy as np
 
-from .errors import InvalidInputError, ShapeError, _check_count
+from .errors import InvalidInputError, ShapeError, _check_count, _check_finite
 from .linalg import matexp
 from .tensor import _active_counters, mu_mode_product, tucker
 
@@ -159,8 +159,10 @@ def prepare(op, tau, dtype=None):
     is exponentiated once.  The exponentials are computed in double
     precision; with a single-precision ``dtype`` (the state's dtype, say
     ``np.float32``) each one is then cast to single precision, with its
-    subnormal parts flushed to zero (see :func:`_cast`).
+    subnormal parts flushed to zero (see :func:`_cast`).  A non-finite ``tau``
+    is rejected (:class:`ConfigurationError`); a zero or negative one is not.
     """
+    _check_finite("time increment", tau)
     return PropagatorCache(tau, tuple(_exponentials(tau, op.factors, dtype)[0]))
 
 

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .errors import ConfigurationError, NoConvergenceError, ShapeError, _check_count
+from .errors import ConfigurationError, NoConvergenceError, ShapeError, _check_count, _check_finite
 from .kron import KroneckerOp, matvec
 from .linalg import matexp
 
@@ -38,7 +38,7 @@ def arnoldi_expmv(op, v, tau, tol=1e-10, m_max=50, max_substeps=1024):
     v : ndarray
         Tensor matching ``op.shape``.
     tau : float
-        Time increment.
+        Time increment; finite, and zero or negative allowed.
     tol : float
         Relative stopping tolerance, at least 1e-14.
     m_max : int
@@ -54,6 +54,7 @@ def arnoldi_expmv(op, v, tau, tol=1e-10, m_max=50, max_substeps=1024):
     v = np.asarray(v)
     if v.shape != op.shape:
         raise ShapeError(f"tensor shape {v.shape} does not match operator shape {op.shape}")
+    _check_finite("time increment", tau)
     if not tol >= 1e-14:
         raise ConfigurationError(f"the tolerance must be at least 1e-14, got {tol!r}")
     _check_count("m_max", m_max)

@@ -28,6 +28,7 @@ from itertools import repeat
 import numpy as np
 
 from .errors import ConfigurationError, InvalidReferenceError, ShapeError, _check_count
+from .errors import _check_finite
 from .fd import (
     gpe_weighted_factors,
     heat_factors,
@@ -202,10 +203,11 @@ def heat3d_run(n=40, p=2, T=1.0, steps=1, norm_kind="max", precision="double"):
     _check_count("n", n, minimum=8)
     run = _Run(precision, T, steps)
     with run.timed():
+        op = heat_factors(n, p)  # before the state, so a bad order allocates none
         cos = np.cos(uniform_periodic_grid(0.0, 2 * np.pi, n).points)
         planes = cos[:, None, None] + cos[None, :, None]
         u0 = np.add(planes, cos[None, None, :], order="F")
-        u = run.exact(heat_factors(n, p), u0)
+        u = run.exact(op, u0)
     # Nothing reads u0 after the run (in double precision the products have
     # overwritten it), so the reference goes into it unless the result is there.
     ref = np.add(planes, cos[None, None, :], out=None if np.may_share_memory(u, u0) else u0,
@@ -293,6 +295,7 @@ def hermite_solve(k, factors_of, T=1.0, steps=1, dtype=np.float64):
     """
     _check_count("k", k, minimum=2)
     _check_count("steps", steps)
+    _check_finite("final time", T)
     basis = hermite_basis(k)
     coeffs0 = forward_transform((basis,) * 3, schrodinger_initial_state((basis.nodes,) * 3))
     coeffs = magnus_midpoint_step(factors_of(basis), _cast(coeffs0, dtype), 0.0, T / steps,
@@ -361,8 +364,8 @@ def magnus_midpoint_step(factors_of_t, u, t, tau, steps=1):
     exponentials (``exp_s``) and of the products (``mode_s``).
     """
     _check_count("steps", steps)
-    if not (math.isfinite(t) and math.isfinite(tau)):
-        raise ConfigurationError(f"the time and step must be finite, got t={t!r}, tau={tau!r}")
+    _check_finite("time", t)
+    _check_finite("step", tau)
     u = np.asarray(u)
 
     def midpoint_exponentials():

@@ -4,6 +4,7 @@ import threading
 import pytest
 
 from kronmode import blas
+from kronmode.errors import ConfigurationError
 
 
 def _all_at(threads):
@@ -95,3 +96,14 @@ def test_scopes_in_many_threads_restore_the_earlier_counts():
     assert not any(worker.is_alive() for worker in workers)
     assert len(done) == len(workers)
     assert blas.thread_counts() == before
+
+
+@pytest.mark.parametrize("threads", [0, -3, 2.5, True, None],
+                         ids=["0", "-3", "2.5", "True", "above-maximum"])
+def test_limit_rejects_a_count_before_touching_either_pool(threads):
+    threads = blas.max_threads() + 1 if threads is None else threads
+    with blas.limit(2):
+        with pytest.raises(ConfigurationError, match="threads"):
+            with blas.limit(threads):
+                pytest.fail("the body ran")
+        assert blas.thread_counts() == _all_at(2)

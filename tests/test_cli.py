@@ -81,8 +81,8 @@ def _non_timing(payload):
 
 
 # Command-line values other than the default, by the type of the flag.
-_SAMPLES = {"_positive_int": ["3"], "_count_or_none": ["0", "3"], "_positive_float": ["0.5"],
-            "_accuracy_order": ["4", "inf"], "_thread_count": ["1"], None: ["report.csv"]}
+_SAMPLES = {"_int": ["3"], "_count_or_none": ["0", "3"], "float": ["0.5"],
+            "_accuracy_order": ["4", "inf"], None: ["report.csv"]}
 
 
 def _sample_values(action):
@@ -114,15 +114,15 @@ class TestParse:
         cfg = parse_args(["heat", "--p", "inf"])
         assert cfg.p == float("inf")
 
-    def test_negative_size_exits_2(self):
-        with pytest.raises(SystemExit) as info:
-            parse_args(["heat", "--n", "-3"])
-        assert info.value.code == 2
+    def test_negative_size_exits_2(self, capsys):
+        assert main(["heat", "--n", "-3"]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "kronmode: error: n must be an integer >= 8, got -3"]
 
-    def test_odd_order_exits_2(self):
-        with pytest.raises(SystemExit) as info:
-            parse_args(["heat", "--p", "3"])
-        assert info.value.code == 2
+    def test_odd_order_exits_2(self, capsys):
+        assert main(["heat", "--p", "3"]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "kronmode: error: accuracy order 3 is no positive even integer"]
 
     def test_unknown_flag_exits_2(self):
         with pytest.raises(SystemExit) as info:
@@ -200,6 +200,7 @@ class TestParse:
         ["selftest", "--output", "csv"],
         ["selftest", "--precision", "single"],
         ["selftest", "--norm", "two"],
+        ["selftest", "--seed", "1"],  # its checks use a fixed seed
         ["heat", "--seed", "1"],
         ["sweep", "--problem", "heat", "--n", "16", "--seed", "1"],
         ["gpe", "--n", "16", "--norm", "two"],  # gpe reports the weighted two-norm drift
@@ -252,14 +253,68 @@ class TestParse:
         assert run(parse_args(argv)) == 1
         assert seen[name] is None
 
-    def test_threads_above_openblas_maximum_exits_2(self):
-        with pytest.raises(SystemExit) as info:
-            parse_args(["heat", "--threads", str(blas.max_threads() + 1)])
-        assert info.value.code == 2
+    def test_threads_above_openblas_maximum_exits_2(self, capsys):
+        most = blas.max_threads()
+        assert main(["heat", "--n", "8", "--threads", str(most + 1)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"kronmode: error: threads must be at most {most} (the OpenBLAS maximum), "
+            f"got {most + 1}"]
 
     def test_threads_take_no_environment_fallback(self, monkeypatch):
         monkeypatch.setenv("KRONMODE_THREADS", "4")
         assert parse_args(["heat"]).threads is None
+
+
+# Settings of the right form but out of range or inconsistent, with a part
+# of the error line that names the setting.  Each is rejected by the
+# library code that takes it (:class:`ConfigurationError`), not by the
+# parser.
+OUT_OF_RANGE = [
+    (["heat", "--n", "4"], "n must be"),
+    (["heat", "--n", "0"], "n must be"),
+    (["heat", "--p", "3"], "accuracy order 3"),
+    (["heat", "--p", "0"], "accuracy order 0"),
+    (["heat", "--n", "8", "--p", "8"], "accuracy order 8"),
+    (["heat", "--n", "9", "--p", "inf"], "even n, got 9"),
+    (["heat", "--T", "nan"], "final time"),
+    (["heat", "--steps", "0"], "steps must be"),
+    (["heat", "--threads", "0"], "threads must be"),
+    (["heat", "--threads", "999"], "threads must be"),
+    (["pipeflow", "--n", "8"], "n must be"),
+    (["pipeflow", "--n", "16", "--T", "inf"], "final time"),
+    (["schrodinger-ti", "--k", "4"], "k must be"),
+    (["schrodinger-ti", "--k", "10", "--k-ref", "5"], "k_ref must be"),
+    (["schrodinger-ti", "--k", "10", "--k-ref", "-1"], "k_ref must be"),
+    (["schrodinger-ti", "--k", "10", "--T", "0"], "final time"),
+    (["schrodinger-td", "--k", "8", "--steps", "0"], "steps must be"),
+    (["schrodinger-td", "--k", "8", "--ref-steps", "-1"], "ref_steps must be"),
+    (["gpe", "--T", "-1"], "final time"),
+    (["gpe", "--n", "16", "--tau", "0"], "step size"),
+    (["gpe", "--n", "16", "--T", "1e300", "--tau", "1e-300"], "T / tau"),
+    (["sweep", "--problem", "heat", "--n", "8,0"], "n must be"),
+    (["sweep", "--problem", "schrodinger-td", "--k", "8", "--threads", "0"], "threads must be"),
+    (["selftest", "--threads", "-1"], "threads must be"),
+]
+
+
+@pytest.mark.parametrize("argv, named", OUT_OF_RANGE,
+                         ids=[" ".join(argv) for argv, _ in OUT_OF_RANGE])
+def test_an_out_of_range_setting_exits_2_before_any_step(argv, named, monkeypatch, capsys):
+    runs = []
+    advance = problems._advance
+
+    def counted(*args, **kwargs):
+        runs.append(args)
+        return advance(*args, **kwargs)
+
+    monkeypatch.setattr(problems, "_advance", counted)  # every driver steps through it
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    (line,) = captured.err.splitlines()
+    assert line.startswith("kronmode: error: ") and named in line
+    assert captured.out == ""
+    # a sweep checks each value when its run starts: n=8 runs, n=0 does not
+    assert len(runs) == (argv[-1] == "8,0")
 
 
 class TestRun:

@@ -193,6 +193,13 @@ class TestPrepare:
         assert calls == [(16, 16)]
         assert np.array_equal(cache.exps[2], original(0.1 * op.factors[2]))
 
+    @pytest.mark.parametrize("tau", [np.inf, -np.inf, np.nan])
+    def test_a_non_finite_increment_is_rejected_before_any_exponential(self, monkeypatch,
+                                                                        tau):
+        monkeypatch.setattr(kron, "matexp", lambda a: pytest.fail("an exponential ran"))
+        with pytest.raises(ConfigurationError, match="time increment"):
+            prepare(heat_factors(8, 2), tau)
+
 
 class TestStep:
     def test_zero_increment_is_identity(self):

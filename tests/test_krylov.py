@@ -158,6 +158,13 @@ def test_a_tolerance_that_is_not_a_number_is_rejected():
         arnoldi_expmv(heat_factors(8, 2), v, 0.1, tol=math.nan)
 
 
+@pytest.mark.parametrize("tau", [math.inf, -math.inf, math.nan])
+def test_a_non_finite_increment_is_rejected_before_any_product(monkeypatch, tau):
+    monkeypatch.setattr(krylov, "matvec", lambda op, u: pytest.fail("a product ran"))
+    with pytest.raises(ConfigurationError, match="time increment"):
+        arnoldi_expmv(heat_factors(8, 2), np.ones((8, 8, 8)), tau)
+
+
 def test_complex_operator():
     rng = np.random.default_rng(6)
     b = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))

@@ -762,8 +762,10 @@ class TestDriverValidation:
             hermite_solve(k, ti_factors)
 
     @pytest.mark.parametrize("T", [math.inf, math.nan])
-    def test_the_hermite_solver_takes_a_finite_time(self, T):
-        with pytest.raises(ConfigurationError):
+    def test_the_hermite_solver_takes_a_finite_time(self, monkeypatch, T):
+        # checked before the basis and the transform are built
+        monkeypatch.setattr(problems, "hermite_basis", lambda k: pytest.fail("basis built"))
+        with pytest.raises(ConfigurationError, match="final time"):
             hermite_solve(6, harmonic_factors, T=T)
 
 
