@@ -194,9 +194,9 @@ def _advance(exps_per_step, u, after_step=None):
     first of two flat buffers that each call's products write in turn, and
     allocates the second; no step, no buffer.  A caller that must keep
     ``u`` runs its first step out of place.  After step ``s`` (from 0),
-    ``after_step(u, idle, s)`` may change the state ``u`` in place, with
-    ``idle``, the buffer of the pair that does not hold it, as scratch.
-    Returns the last state, a view of one of the pair or a new array.
+    ``after_step(u, s)`` may change the state ``u`` in place, with scratch
+    of its own: the other buffer of the pair is not lent to it.  Returns the
+    last state, a view of one of the pair or a new array.
     """
     pair = ()
     for s, exps in enumerate(exps_per_step):
@@ -206,5 +206,5 @@ def _advance(exps_per_step, u, after_step=None):
             pair = (first, np.empty_like(first))
         u = tucker(u, exps, pair)
         if after_step is not None:
-            after_step(u, pair[np.may_share_memory(u, pair[0])], s)
+            after_step(u, s)
     return u

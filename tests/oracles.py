@@ -81,3 +81,30 @@ def harmonic_factors(basis):
     """
     factors = (hamiltonian_factor(basis, lambda x: 0.5 * x * x),) * 3
     return lambda t: factors
+
+
+def rotate_full(psi, h, weights):
+    """The GPE's nonlinear flow ``psi <- psi exp(i h/2 (1 - |psi|^2/w))`` over the whole state.
+
+    In place on a Fortran-ordered ``psi``, with ``w`` the outer product of
+    ``weights``: ``1/w`` is one full-state array in double, cast to the real
+    dtype of ``psi``, and one full-state complex factor takes the phase in
+    its real part, then the sine in its imaginary part and the cosine over
+    the phase.
+    """
+    inv_w = np.ones(psi.shape, order="F")
+    for ax, w in enumerate(weights):
+        inv_w *= np.asarray(w).reshape((1,) * ax + (-1,) + (1,) * (psi.ndim - ax - 1))
+    np.divide(1.0, inv_w, out=inv_w)
+    inv_w = inv_w.astype(np.finfo(psi.dtype).dtype, copy=False)
+    factor = np.empty(psi.shape, psi.dtype, order="F")
+    phase, scratch = factor.real, factor.imag
+    np.square(psi.real, out=phase)
+    np.square(psi.imag, out=scratch)
+    phase += scratch
+    phase *= inv_w
+    np.subtract(1.0, phase, out=phase)
+    phase *= 0.5 * h
+    np.sin(phase, out=scratch)
+    np.cos(phase, out=phase)
+    psi *= factor

@@ -509,12 +509,24 @@ class TestLentSteps:
 
     @staticmethod
     def advance(cache, u, steps):
-        """``kron._advance`` from ``u``, and the pair after each step: state, idle buffer."""
-        pairs = []
+        """``kron._advance`` from ``u``, and the state after each step.
+
+        Every state is a view of one of the two buffers of the loop's pair,
+        and the last one is the result.
+        """
+        states = []
         got = kron._advance(repeat(cache.exps, steps), u,
-                            lambda state, idle, s: pairs.append((state, idle)))
+                            lambda state, s: states.append((s, state)))
         assert tensor._lent_pair.get() == ()
-        return got, pairs
+        assert [s for s, _ in states] == list(range(steps))
+        states = [state for _, state in states]
+        assert got is states[-1]
+        buffers = []  # one state in each buffer met so far
+        for state in states:
+            if not any(np.shares_memory(state, buf) for buf in buffers):
+                buffers.append(state)
+        assert len(buffers) <= 2
+        return got, states
 
     @pytest.mark.parametrize("diagonal_first", [False, True])
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -525,20 +537,21 @@ class TestLentSteps:
         cache, u = buffer_case(24, complex_factors, dtype, False, diagonal_first)
         want = step(cache, u, steps=steps)
         lent = u.astype(np.result_type(u, *cache.exps), order="F")
-        got, pairs = self.advance(cache, lent, steps)
+        got, states = self.advance(cache, lent, steps)
         assert got.dtype == want.dtype and got.flags.f_contiguous
         assert got.tobytes(order="F") == want.tobytes(order="F")
-        # After every step, lent's memory is one buffer of the pair.
-        assert len(pairs) == steps
-        for state, idle in pairs:
-            assert np.shares_memory(state, lent) != np.shares_memory(idle, lent)
+        # Three products a step move the state to the other buffer, so the
+        # states alternate between the spare and lent's memory, the spare
+        # first; two products and a scaling in place leave it in lent's.
+        for s, state in enumerate(states):
+            assert np.shares_memory(state, lent) == (diagonal_first or s % 2 == 1)
 
     def test_the_products_overwrite_a_lent_state(self):
         cache, u = buffer_case(25, False, np.float64, False)
         lent = u.copy(order="F")
-        got, [(state, idle)] = self.advance(cache, lent, 1)
+        got, [state] = self.advance(cache, lent, 1)
         # Three products: the second one writes the lent buffer, the third the spare.
-        assert got is state and np.shares_memory(idle, lent)
+        assert got is state and not np.shares_memory(state, lent)
         assert not np.array_equal(lent, u)
 
     @pytest.mark.parametrize("layout", ["C", "strided"])
@@ -553,9 +566,9 @@ class TestLentSteps:
 
     def check_copied(self, cache, u):
         kept = u.copy()
-        got, pairs = self.advance(cache, u, 2)
+        got, states = self.advance(cache, u, 2)
         assert np.array_equal(u, kept)
-        assert not any(np.shares_memory(buf, u) for pair in pairs for buf in pair)
+        assert not any(np.shares_memory(state, u) for state in states)
         assert got.tobytes(order="F") == step(cache, kept, steps=2).tobytes(order="F")
 
     def test_no_steps_return_the_state_and_allocate_nothing(self):

@@ -42,7 +42,7 @@ from kronmode.problems import (
     vortex_pair_state,
 )
 from kronmode.tensor import norm
-from oracles import harmonic_eigenvalues, harmonic_factors
+from oracles import harmonic_eigenvalues, harmonic_factors, rotate_full
 
 
 class TestRelativeError:
@@ -608,10 +608,10 @@ class TestGpe:
         assert tensor._lent_pair.get() == ()
 
     def test_the_run_holds_under_three_states(self):
-        # The loop's two buffers, the first one psi's own memory (the
-        # rotation's scratch is the idle one; the opening half step's is
-        # freed before the spare exists), and 1/w (half a complex state):
-        # 2.5 states and small change.  Measured: 2.574.
+        # The loop's two buffers, the first one psi's own memory, and the
+        # nonlinear flow's buffers of one block of 4096 entries (as large as
+        # 2.5 complex blocks, 0.31 states at n=32).  Measured: 2.405 (2.575
+        # with a full-state 1/w).
         gpe_run(16, T=0.2, tau=0.1)  # first-call caches stay out of the count
         tracemalloc.start()
         try:
@@ -619,7 +619,57 @@ class TestGpe:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.8 * 32**3 * np.dtype(np.complex128).itemsize
+        assert peak <= 2.5 * 32**3 * np.dtype(np.complex128).itemsize
+
+    @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+    def test_the_loop_holds_its_pair_and_blocks_only(self, dtype):
+        # psi and the spare, and buffers of one block of slabs (0.04 states
+        # at n=64): no full-state 1/w, which is half a complex state in
+        # either precision, and no full-state scratch.  Measured: 2.048
+        # (complex128), 2.064 (complex64).
+        n = 64
+        rng = np.random.default_rng(6)
+        _, lin_op, weights = gpe_setup(n)
+        cache = prepare(lin_op, 0.1, dtype)
+        psi = np.asfortranarray((rng.standard_normal((n, n, n))
+                                 + 1j * rng.standard_normal((n, n, n))).astype(dtype))
+        tracemalloc.start()
+        try:
+            problems._strang(cache, weights, psi, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak + psi.nbytes <= 2.15 * psi.nbytes
+
+    @settings(max_examples=40, deadline=None)
+    @given(shape=st.sampled_from([(70, 70, 3), (24, 24, 13), (8, 12, 20), (9, 5, 1),
+                                  (4096, 1, 2)]),
+           dtype=st.sampled_from([np.complex128, np.complex64]),
+           h=st.floats(-2.0, 2.0, allow_subnormal=False),
+           seed=st.integers(0, 2**31))
+    def test_the_blocked_flow_is_bit_identical_to_the_full_state_flow(self, shape, dtype, h,
+                                                                      seed):
+        # A slab larger than the block, a block count that does not divide
+        # n3 (7 slabs of 576 per block, 13 slabs), a non-cubic shape, one
+        # slab, and a slab of exactly one block.
+        rng = np.random.default_rng(seed)
+        weights = [rng.uniform(0.05, 2.0, n) for n in shape]
+        psi = np.asfortranarray((rng.standard_normal(shape)
+                                 + 1j * rng.standard_normal(shape)).astype(dtype))
+        want = psi.copy(order="F")
+        rotate_full(want, h, weights)
+        problems._nonlinear_flow(weights, shape, psi.dtype)(psi, h)
+        assert psi.tobytes(order="F") == want.tobytes(order="F")
+
+    @pytest.mark.parametrize("weights", [
+        lambda w: w[:2], lambda w: w + w[:1], lambda w: (w[0], w[1], w[2][:-1]),
+        lambda w: (w[0][:-1], w[1], w[2]),
+    ], ids=["two", "four", "short-last", "short-first"])
+    def test_weights_must_match_the_state(self, weights):
+        _, lin_op, w = gpe_setup(8)
+        psi = np.ones((8, 8, 8), dtype=complex)
+        with pytest.raises(ShapeError):
+            gpe_strang_step(prepare(lin_op, 0.1), weights(w), psi)
 
     @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
     @pytest.mark.parametrize("steps", [1, 2, 3])
