@@ -87,24 +87,17 @@ def rotate_full(psi, h, weights):
     """The GPE's nonlinear flow ``psi <- psi exp(i h/2 (1 - |psi|^2/w))`` over the whole state.
 
     In place on a Fortran-ordered ``psi``, with ``w`` the outer product of
-    ``weights``: ``1/w`` is one full-state array in double, cast to the real
-    dtype of ``psi``, and one full-state complex factor takes the phase in
-    its real part, then the sine in its imaginary part and the cosine over
-    the phase.
+    ``weights``: ``h/(4w)`` is one full-state array in double, cast to the
+    real dtype of ``psi``.  The factor ``q - 1 + i t q``, with ``t`` the
+    tangent of the half phase ``h/4 (1 - |psi|^2/w)`` and ``q = 2/(1 + t^2)``,
+    is built from full-state temporaries.
     """
-    inv_w = np.ones(psi.shape, order="F")
+    c = np.ones(psi.shape, order="F")
     for ax, w in enumerate(weights):
-        inv_w *= np.asarray(w).reshape((1,) * ax + (-1,) + (1,) * (psi.ndim - ax - 1))
-    np.divide(1.0, inv_w, out=inv_w)
-    inv_w = inv_w.astype(np.finfo(psi.dtype).dtype, copy=False)
+        c *= np.asarray(w).reshape((1,) * ax + (-1,) + (1,) * (psi.ndim - ax - 1))
+    c = np.divide(0.25 * h, c).astype(np.finfo(psi.dtype).dtype, copy=False)
+    t = np.tan(0.25 * h - (np.square(psi.real) + np.square(psi.imag)) * c)
+    q = 2.0 / (1.0 + np.square(t))
     factor = np.empty(psi.shape, psi.dtype, order="F")
-    phase, scratch = factor.real, factor.imag
-    np.square(psi.real, out=phase)
-    np.square(psi.imag, out=scratch)
-    phase += scratch
-    phase *= inv_w
-    np.subtract(1.0, phase, out=phase)
-    phase *= 0.5 * h
-    np.sin(phase, out=scratch)
-    np.cos(phase, out=phase)
+    factor.real, factor.imag = q - 1.0, t * q
     psi *= factor

@@ -71,7 +71,7 @@ GOLDEN_REPORTS = [
       "precision": "double"}),
     (["gpe", "--n", "16", "--T", "0.3", "--tau", "0.1"],
      {"problem": "gpe", "shape": [16, 16, 16], "steps": 3, "tau": 0.09999999999999999,
-      "error": 2.2679051825996226e-16, "norm_kind": "weighted_two", "n": 16, "k": None,
+      "error": 1.1339525912998113e-16, "norm_kind": "weighted_two", "n": 16, "k": None,
       "p": None, "precision": "double"}),
 ]
 
