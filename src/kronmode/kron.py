@@ -10,6 +10,7 @@ dense ``M`` is never formed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import repeat
 from time import perf_counter
 
@@ -36,7 +37,9 @@ class KroneckerOp:
     """Ordered one-dimensional factors ``A_1 .. A_d``; ``A_mu`` acts on direction mu.
 
     Every factor must be square and finite (:class:`ShapeError`,
-    :class:`InvalidInputError`).
+    :class:`InvalidInputError`).  For :func:`matvec` the operator also keeps
+    the first factor in Fortran order and the others in C order, each
+    copied once, at the first call, if it is not so already.
     """
 
     factors: tuple
@@ -55,6 +58,10 @@ class KroneckerOp:
     @property
     def shape(self):
         return tuple(a.shape[0] for a in self.factors)
+
+    @cached_property
+    def _matvec_factors(self):
+        return (np.asfortranarray(self.factors[0]), *map(np.ascontiguousarray, self.factors[1:]))
 
 
 @dataclass(frozen=True)
@@ -82,14 +89,25 @@ class PropagatorCache:
 
 
 def matvec(op, u):
-    """Action of the Kronecker sum on a tensor: ``sum_mu u x_mu A_mu``."""
+    """Action of the Kronecker sum on a tensor: ``sum_mu u x_mu A_mu``.
+
+    The products read the factors in the layouts the operator keeps them
+    in: ``A_1`` in Fortran order, so that direction 1's ``unfold.T @ A_1.T``
+    is a non-transposed GEMM (see the Notes of
+    :func:`kronmode.tensor.mu_mode_product`), and the others in C order.  So
+    the result's bits do not depend on how the factors were given: a
+    factor's layout picks the GEMM or GEMV form, and some forms differ in the
+    last bit (direction 1 at 32x32, say, or every other direction's
+    matrix-vector products when ``n_1 = 1``).
+    """
     u = np.asarray(u)
     if u.shape != op.shape:
         raise ShapeError(f"tensor shape {u.shape} does not match operator shape {op.shape}")
     # Each product takes the dtype of u and its own factor; the sum, that of all.
-    out = mu_mode_product(u, op.factors[0], 1).astype(np.result_type(u, *op.factors), copy=False)
+    mats = op._matvec_factors
+    out = mu_mode_product(u, mats[0], 1).astype(np.result_type(u, *op.factors), copy=False)
     for mu in range(2, op.d + 1):
-        out += mu_mode_product(u, op.factors[mu - 1], mu)
+        out += mu_mode_product(u, mats[mu - 1], mu)
     return out
 
 

@@ -17,6 +17,7 @@ import numpy as np
 from .errors import ConfigurationError, NoConvergenceError, ShapeError, _check_count, _check_finite
 from .kron import KroneckerOp, matvec
 from .linalg import matexp
+from .tensor import norm
 
 __all__ = ["arnoldi_expmv"]
 
@@ -61,7 +62,7 @@ def arnoldi_expmv(op, v, tau, tol=1e-10, m_max=50, max_substeps=1024):
     _check_count("max_substeps", max_substeps)
 
     dtype = np.result_type(np.float64, v.dtype, *(a.dtype for a in op.factors))
-    v0 = np.asfortranarray(v).astype(dtype).ravel(order="F")
+    v0 = v.astype(dtype, order="F").ravel(order="F")
     shape = v.shape
     if tau == 0:
         return v0.reshape(shape, order="F")
@@ -162,16 +163,20 @@ def _expmv_reference(op, v, tau):
     m, s = min(((m, max(1, math.ceil(bound / theta))) for m, theta in _THETA.items()),
                key=lambda ms: ms[0] * ms[1])
     eta = np.exp(tau * sum(means) / s)
-    f = v.astype(dtype)
+    # The sum f, a Fortran-ordered copy of v, and each term b are updated in
+    # place; every scalar stays the first operand, since numpy's complex
+    # multiply is not symmetric in its operands to the last bit.
+    f = v.astype(dtype, order="F")
     for _ in range(s):
         b = f
-        c1 = np.abs(b).max()
+        c1 = norm(b, "max")
         for j in range(1, m + 1):
-            b = tau / (s * j) * matvec(shifted, b)
-            c2 = np.abs(b).max()
-            f = f + b
-            if c1 + c2 <= 2.0**-53 * np.abs(f).max():
+            b = matvec(shifted, b)
+            np.multiply(tau / (s * j), b, out=b)
+            c2 = norm(b, "max")
+            f += b
+            if c1 + c2 <= 2.0**-53 * norm(f, "max"):
                 break
             c1 = c2
-        f = eta * f
+        np.multiply(eta, f, out=f)
     return f

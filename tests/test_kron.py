@@ -130,6 +130,27 @@ class TestMatvec:
         with pytest.raises(ShapeError):
             matvec(op, np.ones((3, 2)))
 
+    def test_direction_1_gets_one_fortran_copy_of_its_factor(self, monkeypatch):
+        # unfold.T @ A_1.T is then a non-transposed GEMM; the copy is made
+        # once per operator, not at every call.
+        seen = []
+
+        def spy(u, mat, mu):
+            seen.append((mu, mat))
+            return mu_mode_product(u, mat, mu)
+
+        monkeypatch.setattr(kron, "mu_mode_product", spy)
+        rng = np.random.default_rng(5)
+        op = random_op(rng, (4, 3, 5))
+        u = rng.standard_normal(op.shape)
+        matvec(op, u)
+        matvec(op, u)
+        firsts = [mat for mu, mat in seen if mu == 1]
+        assert len(firsts) == 2 and firsts[0] is firsts[1]
+        assert firsts[0].flags.f_contiguous and np.array_equal(firsts[0], op.factors[0])
+        assert op.factors[0].flags.c_contiguous
+        assert all(mat is op.factors[mu - 1] for mu, mat in seen if mu > 1)
+
 
 class TestPrepare:
     def test_zero_increment_gives_identities(self):
@@ -676,3 +697,42 @@ class TestStepProperties:
         got = step(cache, view, steps=steps)
         assert got.dtype == want.dtype and got.flags.f_contiguous
         assert got.tobytes(order="F") == want.tobytes(order="F")
+
+
+class TestMatvecProperties:
+    layouts = st.sampled_from(["C", "F", "strided"])
+
+    @staticmethod
+    def _laid_out(base, layout):
+        """``base[..., ::2]`` C-ordered, Fortran-ordered or as the strided view itself."""
+        view = base[..., ::2]
+        return {"C": np.ascontiguousarray(view), "F": np.asfortranarray(view),
+                "strided": view}[layout]
+
+    @settings(max_examples=80, deadline=None)
+    @given(shape=st.lists(st.integers(1, 4), min_size=1, max_size=4).map(tuple),
+           seed=st.integers(0, 2**31), complex_dirs=st.lists(st.booleans(), min_size=4,
+                                                             max_size=4),
+           factor_layouts=st.lists(layouts, min_size=4, max_size=4), state_layout=layouts,
+           complex_u=st.booleans())
+    def test_factor_and_state_layouts_do_not_change_the_result(
+            self, shape, seed, complex_dirs, factor_layouts, state_layout, complex_u):
+        rng = np.random.default_rng(seed)
+        bases = []
+        for n, complex_dir in zip(shape, complex_dirs):
+            a = rng.standard_normal((n, 2 * n))
+            bases.append(a + 1j * rng.standard_normal((n, 2 * n)) if complex_dir else a)
+        base = rng.standard_normal(shape[:-1] + (2 * shape[-1],))
+        if complex_u:
+            base = base + 1j * rng.standard_normal(base.shape)
+        u = self._laid_out(base, state_layout)
+        want = matvec(KroneckerOp(tuple(self._laid_out(a, "C") for a in bases)), u)
+        op = KroneckerOp(tuple(self._laid_out(a, layout)
+                               for a, layout in zip(bases, factor_layouts)))
+        got = matvec(op, u)
+        assert got.dtype == want.dtype and got.tobytes(order="F") == want.tobytes(order="F")
+        # Relative to the sum of the moduli, which no cancellation shrinks.
+        full = assemble_full(op)
+        dense = full @ u.ravel(order="F")
+        scale = (np.abs(full) @ np.abs(u.ravel(order="F"))).max()
+        assert np.abs(got.ravel(order="F") - dense).max() <= 1e-13 * scale

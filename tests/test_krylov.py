@@ -328,3 +328,30 @@ class TestExpmvReference:
             np.random.seed(seed)
             assert after == np.random.random()
         assert np.array_equal(results[0], results[1])
+
+
+@pytest.mark.parametrize("complex_factors", [False, True])
+@pytest.mark.parametrize("method", [_expmv_reference, arnoldi_expmv])
+def test_c_and_fortran_ordered_inputs_give_the_same_bits(method, complex_factors):
+    rng = np.random.default_rng(16)
+    op = _random_op(rng, (5, 4, 3), complex_factors)
+    v = rng.standard_normal(op.shape)
+    got_c = method(op, np.ascontiguousarray(v), 0.3)
+    got_f = method(op, np.asfortranarray(v), 0.3)
+    assert got_c.tobytes(order="F") == got_f.tobytes(order="F")
+
+
+@pytest.mark.parametrize("complex_factors", [False, True])
+@pytest.mark.parametrize("layout", ["F", "C"])
+def test_the_reference_leaves_its_input_alone(layout, complex_factors):
+    # A float64 Fortran-ordered v is the case where the loop's only copy of
+    # v is its astype: the terms and the sum are updated in place.
+    rng = np.random.default_rng(17)
+    op = _random_op(rng, (6, 5), complex_factors)
+    v = np.asarray(rng.standard_normal(op.shape), order=layout)
+    kept = v.copy(order="A")
+    got = _expmv_reference(op, v, 0.5)
+    assert v.tobytes(order="A") == kept.tobytes(order="A")
+    assert v.flags.f_contiguous == (layout == "F")
+    assert not np.shares_memory(got, v)
+    assert got.flags.f_contiguous
