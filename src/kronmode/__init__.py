@@ -55,6 +55,6 @@ from .problems import (
     pipeflow_run,
     relative_error,
 )
-from .tensor import count_flops, mu_mode_product, norm, scale_modes, tucker
+from .tensor import count_flops, mu_mode_product, norm, tucker
 
 __version__ = "0.1.0"

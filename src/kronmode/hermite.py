@@ -16,7 +16,8 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .errors import ConfigurationError, InvalidPotentialError, ShapeError, _check_count
-from .tensor import scale_modes, tucker
+from .errors import InvalidInputError
+from .tensor import tucker
 
 __all__ = [
     "HermiteBasis",
@@ -36,11 +37,16 @@ def hermite_eval(k, x):
     """First k orthonormal Hermite functions at x.
 
     Returns shape ``(k,)`` for scalar x and ``(k, len(x))`` for a vector,
-    with row i holding ``phi_i``.
+    with row i holding ``phi_i``.  An ``x`` of more than one dimension is a
+    :class:`ShapeError`, a non-finite point an :class:`InvalidInputError`.
     """
     _check_count("k", k)
     scalar = np.isscalar(x) or np.ndim(x) == 0
     pts = np.atleast_1d(np.asarray(x, dtype=float))
+    if pts.ndim != 1:
+        raise ShapeError(f"evaluation points must be a scalar or a vector, got ndim={pts.ndim}")
+    if not np.isfinite(pts).all():
+        raise InvalidInputError("evaluation points must be finite")
     out = np.empty((k, pts.size))
     out[0] = np.pi**-0.25 * np.exp(-pts * pts / 2)
     if k > 1:
@@ -102,13 +108,14 @@ def _check_field_shape(bases, values, what):
 def forward_transform(bases, values):
     """Grid values at the quadrature nodes to basis coefficients.
 
-    Multiplies in the tensor-product modified weights, then applies the
-    per-direction value matrices as a Tucker operator.
+    One Tucker operator: the modified weights are diagonal in each
+    direction, so direction mu applies the k x k matrix
+    ``phi * mod_weights`` (column l of ``phi`` times the weight of node l),
+    and no weighted copy of ``values`` is made.
     """
     values = np.asarray(values)
     _check_field_shape(bases, values, "value tensor")
-    weighted = scale_modes(values, [b.mod_weights for b in bases])
-    return tucker(weighted, [b.phi for b in bases])
+    return tucker(values, [b.phi * b.mod_weights for b in bases])
 
 
 def inverse_transform(bases, coeffs, eval_points=None):

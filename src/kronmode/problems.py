@@ -47,7 +47,7 @@ from .hermite import (
 from .kron import KroneckerOp, _advance, _cast, _exponentials, prepare
 from .krylov import _expmv_reference
 from .tensor import norm as tensor_norm
-from .tensor import count_flops, scale_modes, tucker
+from .tensor import _along, count_flops, tucker
 
 __all__ = [
     "RunReport",
@@ -466,18 +466,19 @@ def _nonlinear_flow(weights, shape, dtype):
     """``flow(psi, h)``: in place, ``psi <- psi exp(i h/2 (1 - |psi|^2/w))``.
 
     ``w`` is the outer product of ``weights``, one vector per direction of
-    the Fortran-ordered ``psi`` of ``shape`` and complex ``dtype``.  The flow
-    leaves ``|psi|`` unchanged, so flows of lengths h1 and h2 make one of
-    length h1 + h2.  Each block of whole slabs of the last direction,
-    contiguous in ``psi``, takes ``h/(4w)`` in double, then in the real
-    dtype, and the half phase ``phi/2 = h/4 (1 - |psi|^2/w)``: with
-    ``t = tan(phi/2)`` (numpy vectorizes float64 ``tan``, not ``sin`` and
-    ``cos``) and ``q = 2/(1 + t^2)``, ``exp(i phi) = q - 1 + i t q``.
+    the Fortran-ordered ``psi`` of ``shape`` (else :class:`ShapeError`) and
+    complex ``dtype``.  The flow leaves ``|psi|`` unchanged, so flows of
+    lengths h1 and h2 make one of length h1 + h2.  Each block of whole slabs
+    of the last direction, contiguous in ``psi``, takes ``h/(4w)`` in
+    double, then in the real dtype, and the half phase
+    ``phi/2 = h/4 (1 - |psi|^2/w)``: with ``t = tan(phi/2)`` (numpy
+    vectorizes float64 ``tan``, not ``sin`` and ``cos``) and
+    ``q = 2/(1 + t^2)``, ``exp(i phi) = q - 1 + i t q``.
     """
-    if np.shape(weights[-1]) != shape[-1:]:
-        raise ShapeError(f"the last weight vector does not match state shape {shape}")
+    if [np.shape(v) for v in weights] != [(n,) for n in shape]:
+        raise ShapeError(f"the weight vectors do not match state shape {shape}")
     slab = math.prod(shape[:-1])
-    lead = scale_modes(np.ones(shape[:-1]), weights[:-1]).ravel(order="F")
+    lead = tucker(np.ones(shape[:-1]), weights[:-1]).ravel(order="F")
     per_block = max(1, _FLOW_BLOCK // max(slab, 1))
     w = np.empty(per_block * slab)
     phase, spare = np.empty((2, w.size), np.finfo(dtype).dtype)
@@ -568,8 +569,12 @@ def gpe_run(n=32, T=2.5, tau=0.1, precision="double"):
     run = _Run(precision, T, max(1, round(T / tau)))
     with run.timed():
         grids, linear_op, weights = gpe_setup(n)
-        psi = _cast(scale_modes(vortex_pair_state(grids), [np.sqrt(w) for w in weights]),
-                    run.dtype)
+        psi = vortex_pair_state(grids)
+        # In place, one direction at a time: tucker's one multiply by the
+        # product of the weights would change the last bits.
+        for ax, w in enumerate(weights):
+            psi *= _along(ax, np.sqrt(w), psi.ndim)
+        psi = _cast(psi, run.dtype)
         cache = prepare(linear_op, run.tau, psi.dtype)
         norm0 = _two_norm64(psi)
         psi = _strang(cache, weights, psi, run.steps)

@@ -1,4 +1,4 @@
-"""Dense order-d tensor kernels: mu-mode products, Tucker operator, mode scaling, norms.
+"""Dense order-d tensor kernels: mu-mode products, the Tucker operator, norms.
 
 A tensor is a plain ``numpy.ndarray`` whose entry ``(i_1, ..., i_d)`` sits at
 linear position ``i_1 + n_1*i_2 + n_1*n_2*i_3 + ...`` (0-based), i.e. the
@@ -32,7 +32,6 @@ __all__ = [
     "count_flops",
     "mu_mode_product",
     "norm",
-    "scale_modes",
     "tucker",
 ]
 
@@ -267,29 +266,6 @@ def _uncycle(u, cycled):
 def _along(ax, v, ndim):
     """The vector ``v`` as an order-``ndim`` array that broadcasts along axis ``ax``."""
     return v.reshape((1,) * ax + (v.size,) + (1,) * (ndim - ax - 1))
-
-
-def scale_modes(u, vectors):
-    """``u`` times the outer product of one vector per direction.
-
-    ``vectors[mu-1]`` scales direction mu and must be as long as it
-    (:class:`ShapeError`).  The result is a Fortran-ordered copy of ``u`` in
-    the result dtype, multiplied by one direction at a time in ascending
-    order, in place.
-    """
-    u = np.asarray(u)
-    if len(vectors) != u.ndim:
-        raise ShapeError(f"expected {u.ndim} vectors, got {len(vectors)}")
-    vectors = [np.asarray(v) for v in vectors]
-    for mu, v in enumerate(vectors, start=1):
-        if v.shape != (u.shape[mu - 1],):
-            raise ShapeError(
-                f"direction {mu}: vector of shape {v.shape} does not match extent {u.shape[mu - 1]}"
-            )
-    out = np.array(u, dtype=np.result_type(u, *vectors), order="F")
-    for ax, v in enumerate(vectors):
-        out *= _along(ax, v, u.ndim)
-    return out
 
 
 def norm(u, kind="two"):

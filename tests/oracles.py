@@ -101,3 +101,18 @@ def rotate_full(psi, h, weights):
     factor = np.empty(psi.shape, psi.dtype, order="F")
     factor.real, factor.imag = q - 1.0, t * q
     psi *= factor
+
+
+def weighted_forward_transform(values, phis, weights):
+    """The Hermite forward transform in two passes: weight, then transform.
+
+    ``values`` times the outer product of ``weights`` (one vector per
+    direction), then ``phis[mu-1]`` applied along direction mu by
+    ``tensordot``, one direction at a time.
+    """
+    out = np.array(values, dtype=np.result_type(values, *weights))
+    for ax, w in enumerate(weights):
+        out *= np.asarray(w).reshape((1,) * ax + (-1,) + (1,) * (out.ndim - ax - 1))
+    for ax, phi in enumerate(phis):
+        out = np.moveaxis(np.tensordot(phi, out, axes=(1, ax)), 0, ax)
+    return out

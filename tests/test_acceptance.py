@@ -29,7 +29,7 @@ from kronmode.problems import (
     ti_factors,
     vortex_pair_state,
 )
-from kronmode.tensor import count_flops, norm, scale_modes
+from kronmode.tensor import count_flops, norm, tucker
 from oracles import assemble_full, harmonic_eigenvalues, harmonic_factors
 
 
@@ -143,7 +143,7 @@ def test_criterion_4_spectral_transform_suite():
     round_trip = float(np.abs(back - values).max() / np.abs(values).max())
 
     coeffs = forward_transform(bases, values)
-    weighted = norm(scale_modes(values, [np.sqrt(basis.mod_weights)] * 3), "two")
+    weighted = norm(tucker(values, [np.sqrt(basis.mod_weights)] * 3), "two")
     parseval = abs(weighted - norm(coeffs, "two")) / weighted
 
     ok = ortho_dev <= 1e-12 and round_trip <= 1e-11 and parseval <= 1e-12

@@ -1,7 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kronmode.errors import ConfigurationError, InvalidPotentialError, ShapeError
+from kronmode.errors import ConfigurationError, InvalidInputError, InvalidPotentialError
+from kronmode.errors import ShapeError
 from kronmode.hermite import (
     forward_transform,
     gauss_hermite,
@@ -12,8 +17,9 @@ from kronmode.hermite import (
     potential_operator,
 )
 from kronmode.linalg import matexp
-from kronmode.tensor import norm, scale_modes
-from oracles import harmonic_eigenvalues
+from kronmode.problems import schrodinger_initial_state
+from kronmode.tensor import norm, tucker
+from oracles import harmonic_eigenvalues, weighted_forward_transform
 
 
 def position(basis):
@@ -36,6 +42,16 @@ class TestHermiteEval:
     def test_vectorized_shape(self):
         out = hermite_eval(4, np.array([0.0, 1.0, 2.0]))
         assert out.shape == (4, 3)
+
+    @pytest.mark.parametrize("x", [np.zeros((2, 2)), np.zeros((1, 3)), [[0.0]]])
+    def test_points_of_more_than_one_dimension_rejected(self, x):
+        with pytest.raises(ShapeError):
+            hermite_eval(3, x)
+
+    @pytest.mark.parametrize("x", [np.nan, np.inf, [0.0, -np.inf], [1.0, np.nan]])
+    def test_non_finite_points_rejected(self, x):
+        with pytest.raises(InvalidInputError):
+            hermite_eval(3, x)
 
 
 class TestGaussHermite:
@@ -138,8 +154,41 @@ class TestTransforms:
         bases = (basis, basis)
         values = rng.standard_normal((20, 20)) + 1j * rng.standard_normal((20, 20))
         coeffs = forward_transform(bases, values)
-        weighted = norm(scale_modes(values, [np.sqrt(basis.mod_weights)] * 2), "two")
+        weighted = norm(tucker(values, [np.sqrt(basis.mod_weights)] * 2), "two")
         assert abs(weighted - norm(coeffs, "two")) <= 1e-12 * weighted
+
+    @settings(max_examples=60, deadline=None)
+    @given(ks=st.lists(st.integers(1, 12), min_size=1, max_size=3),
+           complex_values=st.booleans(), seed=st.integers(0, 2**31))
+    def test_folded_weights_match_weighting_then_transforming(self, ks, complex_values, seed):
+        rng = np.random.default_rng(seed)
+        bases = [hermite_basis(k) for k in ks]
+        values = rng.standard_normal(ks)
+        if complex_values:
+            values = values + 1j * rng.standard_normal(ks)
+        phis, weights = [b.phi for b in bases], [b.mod_weights for b in bases]
+        got = forward_transform(bases, values)
+        want = weighted_forward_transform(values, phis, weights)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        # rounding relative to the bound |phi| x w applied to |values|
+        scale = weighted_forward_transform(np.abs(values), [np.abs(p) for p in phis], weights)
+        assert np.abs(got - want).max() <= 1e-14 * scale.max()
+
+    def test_forward_transform_holds_two_states(self):
+        # One tucker call and no weighted copy of the values: at k=40 the
+        # wavepacket's transform peaked at 2.06 states of the value tensor
+        # (3.03 with the weighting as a separate pass).
+        basis = hermite_basis(40)
+        bases = (basis,) * 3
+        values = schrodinger_initial_state((basis.nodes,) * 3)
+        forward_transform(bases, values)  # first-call caches stay out of the count
+        tracemalloc.start()
+        try:
+            forward_transform(bases, values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.25 * values.nbytes
 
     def test_shape_validation(self):
         basis = hermite_basis(4)
@@ -147,6 +196,15 @@ class TestTransforms:
             forward_transform((basis,), np.zeros(5))
         with pytest.raises(ShapeError):
             inverse_transform((basis,), np.zeros(4), eval_points=[np.zeros(3), np.zeros(3)])
+        with pytest.raises(ShapeError):
+            inverse_transform((basis,), np.zeros(4), eval_points=[np.zeros((2, 2))])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_evaluation_point_rejected(self, bad):
+        basis = hermite_basis(4)
+        with pytest.raises(InvalidInputError):
+            inverse_transform((basis, basis), np.zeros((4, 4)),
+                              eval_points=[np.zeros(3), np.array([0.0, bad])])
 
 
 class TestHarmonicEigenvalues:

@@ -685,8 +685,8 @@ class TestGpe:
 
     @pytest.mark.parametrize("weights", [
         lambda w: w[:2], lambda w: w + w[:1], lambda w: (w[0], w[1], w[2][:-1]),
-        lambda w: (w[0][:-1], w[1], w[2]),
-    ], ids=["two", "four", "short-last", "short-first"])
+        lambda w: (w[0][:-1], w[1], w[2]), lambda w: (w[0], w[1][:-1], w[2]),
+    ], ids=["two", "four", "short-last", "short-first", "short-middle"])
     def test_weights_must_match_the_state(self, weights):
         _, lin_op, w = gpe_setup(8)
         psi = np.ones((8, 8, 8), dtype=complex)

@@ -15,7 +15,7 @@ PUBLIC = [
     "gpe_weighted_factors", "hamiltonian_factor", "heat3d_run", "heat_factors", "hermite_basis",
     "hermite_eval", "hkmp_run", "hkp_run", "inverse_transform", "magnus_midpoint_step", "matexp",
     "matvec", "mu_mode_product", "norm", "pipeflow_factors", "pipeflow_run",
-    "potential_operator", "prepare", "relative_error", "scale_modes",
+    "potential_operator", "prepare", "relative_error",
     "sinh_clustered_grid", "step", "tucker", "uniform_grid", "uniform_periodic_grid",
 ]
 

@@ -12,7 +12,7 @@ from hypothesis.extra import numpy as hnp
 
 from kronmode.errors import ConfigurationError, InvalidDirectionError, ShapeError
 from kronmode.kron import _exponentials
-from kronmode.tensor import count_flops, mu_mode_product, norm, scale_modes, tucker
+from kronmode.tensor import count_flops, mu_mode_product, norm, tucker
 from oracles import kron_vec_apply, loop_mu_mode
 
 
@@ -245,31 +245,6 @@ class TestTucker:
     def test_wrong_slot_count(self):
         with pytest.raises(ShapeError):
             tucker(np.zeros((2, 3)), [np.eye(2)])
-
-
-class TestScaleModes:
-    @settings(max_examples=30, deadline=None)
-    @given(shape=shapes, seed=st.integers(0, 2**31))
-    def test_matches_outer_product_oracle(self, shape, seed):
-        rng = np.random.default_rng(seed)
-        u = rng.standard_normal(shape)
-        vectors = [rng.standard_normal(n) for n in shape]
-        outer = np.ones(())
-        for v in vectors:
-            outer = np.multiply.outer(outer, v)
-        got = scale_modes(u, vectors)
-        assert got.shape == shape
-        assert np.abs(got - u * outer).max() <= 1e-14 * max(np.abs(u * outer).max(), 1e-300)
-
-    def test_complex_promotion(self):
-        got = scale_modes(np.ones((2, 3)), [np.array([1j, 2.0]), np.ones(3)])
-        assert np.array_equal(got, np.array([[1j] * 3, [2.0] * 3]))
-
-    def test_vector_count_and_length_checked(self):
-        with pytest.raises(ShapeError):
-            scale_modes(np.ones((2, 3)), [np.ones(2)])
-        with pytest.raises(ShapeError, match="direction 2"):
-            scale_modes(np.ones((2, 3)), [np.ones(2), np.ones(2)])
 
 
 class TestNorm:
