@@ -65,3 +65,11 @@ def _check_finite(name, value):
     """
     if not np.isfinite(value):
         raise ConfigurationError(f"the {name} must be finite, got {value!r}")
+
+
+def _real_array(values, what, error):
+    """``values`` as a float array; complex values raise ``error`` instead of losing a part."""
+    arr = np.asarray(values)
+    if np.iscomplexobj(arr):
+        raise error(f"{what} must be real, got dtype {arr.dtype}")
+    return np.asarray(arr, dtype=float)

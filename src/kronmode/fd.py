@@ -12,8 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigurationError, InvalidGridError, _check_count
+from .errors import ConfigurationError, InvalidGridError, _check_count, _real_array
 from .kron import KroneckerOp
 
 __all__ = [
@@ -55,7 +56,7 @@ class Grid1D:
     period: float | None = None
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
+        pts = _real_array(self.points, "grid points", InvalidGridError)
         if pts.ndim != 1 or pts.size < 1 or not np.isfinite(pts).all():
             raise InvalidGridError("grid needs a one-dimensional list of finite points")
         if pts.size > 1 and not np.all(np.diff(pts) > 0):
@@ -122,32 +123,42 @@ def fd_weights(nodes, center, deriv_order):
     up to degree ``len(nodes) - 1`` (the classical recursive
     interpolation-weight construction).
     """
-    x = np.asarray(nodes, dtype=float)
+    x = _real_array(nodes, "stencil nodes", InvalidGridError)
     if x.ndim != 1 or x.size == 0:
         raise InvalidGridError("stencil nodes must be a non-empty vector")
-    if not (np.isfinite(x).all() and np.isfinite(center)):
+    center = _real_array(center, "a stencil center", InvalidGridError)
+    return _stencil_weights(x[None], center.reshape(1), deriv_order)[0]
+
+
+def _stencil_weights(windows, centers, m):
+    """Fornberg's (1988) order-``m`` weights of each row of ``windows`` at its center.
+
+    One recurrence over the stencil nodes, batched over the rows, with each
+    row's arithmetic in the order of the one-row construction, so every row
+    equals :func:`fd_weights` of that row to the last bit.
+    """
+    rows, n = windows.shape
+    if not (np.isfinite(windows).all() and np.isfinite(centers).all()):
         raise InvalidGridError("stencil nodes and center must be finite")
-    if np.unique(x).size != x.size:
+    ordered = np.sort(windows, axis=1)
+    if not (ordered[:, 1:] != ordered[:, :-1]).all():
         raise InvalidGridError("stencil nodes must be distinct")
-    m = deriv_order
     _check_count("the derivative order", m, minimum=0)
-    if m >= x.size:
-        raise ConfigurationError(
-            f"derivative order {m} needs more than {x.size} stencil nodes"
-        )
-    n = x.size
-    weights = np.zeros((n, m + 1))
+    if m >= n:
+        raise ConfigurationError(f"derivative order {m} needs more than {n} stencil nodes")
+    x = windows.T
+    weights = np.zeros((n, m + 1, rows))
     weights[0, 0] = 1.0
     c1 = 1.0
-    c4 = x[0] - center
+    c4 = x[0] - centers
     for i in range(1, n):
         mn = min(i, m)
         c2 = 1.0
         c5 = c4
-        c4 = x[i] - center
+        c4 = x[i] - centers
         for j in range(i):
             c3 = x[i] - x[j]
-            c2 *= c3
+            c2 = c2 * c3
             if j == i - 1:
                 for k in range(mn, 0, -1):
                     weights[i, k] = c1 * (k * weights[i - 1, k - 1] - c5 * weights[i - 1, k]) / c2
@@ -156,7 +167,7 @@ def fd_weights(nodes, center, deriv_order):
                 weights[j, k] = (c4 * weights[j, k] - k * weights[j, k - 1]) / c3
             weights[j, 0] = c4 * weights[j, 0] / c3
         c1 = c2
-    return weights[:, m]
+    return weights[:, m].T
 
 
 def diff_matrix(grid, deriv_order, accuracy_order, bc=None):
@@ -166,7 +177,8 @@ def diff_matrix(grid, deriv_order, accuracy_order, bc=None):
     :func:`fd_weights` of its actual nodes, so any even order works on any
     bounded grid.  A periodic grid wraps its stencils and takes no ``bc``;
     a bounded grid needs one, whose closures fold the ghost nodes as
-    described in the module docstring.
+    described in the module docstring.  Each entry sums its row's folded
+    weights in stencil order.
     """
     if isinstance(deriv_order, bool) or deriv_order not in (1, 2):
         raise ConfigurationError(f"derivative order {deriv_order} not supported")
@@ -179,36 +191,26 @@ def diff_matrix(grid, deriv_order, accuracy_order, bc=None):
     if (bc is None) != (grid.period is not None):
         raise ConfigurationError("a bounded grid needs a bc and a periodic one takes none")
     half = p // 2
+    rows = np.arange(n)[:, None]
+    cols = rows + (np.arange(p + 1) - half)
 
     if grid.period is not None:
-        h = grid.period / n
-        offsets = h * (np.arange(p + 1) - half)
-        w = fd_weights(offsets, 0.0, deriv_order)
-        rows = np.arange(n)
-        mat = np.zeros((n, n))
-        for s in range(p + 1):
-            mat[rows, (rows + s - half) % n] += w[s]
-        return mat
-
-    x = grid.points
-    ghost_left = 2 * x[0] - x[half:0:-1]
-    ghost_right = 2 * x[-1] - x[-2 : -half - 2 : -1]
-    extended = np.concatenate([ghost_left, x, ghost_right])
+        offsets = grid.period / n * (np.arange(p + 1) - half)
+        w = np.broadcast_to(fd_weights(offsets, 0.0, deriv_order), cols.shape)
+        keep = np.ones(cols.shape, dtype=bool)
+        cols = cols % n
+    else:
+        x = grid.points
+        ghost_left = 2 * x[0] - x[half:0:-1]
+        ghost_right = 2 * x[-1] - x[-2 : -half - 2 : -1]
+        extended = np.concatenate([ghost_left, x, ghost_right])
+        w = _stencil_weights(sliding_window_view(extended, p + 1), x, deriv_order)
+        # A Neumann ghost reflects onto the node as far inside; a Dirichlet
+        # ghost value is zero, so its term is dropped.
+        keep = ((cols >= 0) | (bc.left == NEUMANN_ZERO)) & ((cols < n) | (bc.right == NEUMANN_ZERO))
+        cols = np.where(cols < 0, -cols, np.where(cols < n, cols, 2 * (n - 1) - cols))
     mat = np.zeros((n, n))
-    for i in range(n):
-        window = extended[i : i + p + 1]
-        w = fd_weights(window, x[i], deriv_order)
-        for s in range(p + 1):
-            j = i + s - half
-            if 0 <= j < n:
-                mat[i, j] += w[s]
-            elif j < 0:
-                if bc.left == NEUMANN_ZERO:
-                    mat[i, -j] += w[s]
-                # dirichlet_zero: ghost value is zero, term dropped
-            else:
-                if bc.right == NEUMANN_ZERO:
-                    mat[i, 2 * (n - 1) - j] += w[s]
+    np.add.at(mat, (np.broadcast_to(rows, cols.shape)[keep], cols[keep]), w[keep])
     return mat
 
 

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .errors import ConfigurationError, InvalidPotentialError, ShapeError, _check_count
-from .errors import InvalidInputError
+from .errors import ConfigurationError, InvalidInputError, InvalidPotentialError, ShapeError
+from .errors import _check_count, _real_array
 from .tensor import tucker
 
 __all__ = [
@@ -38,11 +38,11 @@ def hermite_eval(k, x):
 
     Returns shape ``(k,)`` for scalar x and ``(k, len(x))`` for a vector,
     with row i holding ``phi_i``.  An ``x`` of more than one dimension is a
-    :class:`ShapeError`, a non-finite point an :class:`InvalidInputError`.
+    :class:`ShapeError`, a complex or non-finite point an :class:`InvalidInputError`.
     """
     _check_count("k", k)
     scalar = np.isscalar(x) or np.ndim(x) == 0
-    pts = np.atleast_1d(np.asarray(x, dtype=float))
+    pts = np.atleast_1d(_real_array(x, "evaluation points", InvalidInputError))
     if pts.ndim != 1:
         raise ShapeError(f"evaluation points must be a scalar or a vector, got ndim={pts.ndim}")
     if not np.isfinite(pts).all():

@@ -61,7 +61,9 @@ class KroneckerOp:
 
     @cached_property
     def _matvec_factors(self):
-        return (np.asfortranarray(self.factors[0]), *map(np.ascontiguousarray, self.factors[1:]))
+        """``(shape, dtype of the factors, the factors in the layouts matvec reads)``."""
+        mats = (np.asfortranarray(self.factors[0]), *map(np.ascontiguousarray, self.factors[1:]))
+        return self.shape, np.result_type(*mats), mats
 
 
 @dataclass(frozen=True)
@@ -101,12 +103,14 @@ def matvec(op, u):
     matrix-vector products when ``n_1 = 1``).
     """
     u = np.asarray(u)
-    if u.shape != op.shape:
-        raise ShapeError(f"tensor shape {u.shape} does not match operator shape {op.shape}")
+    shape, dtype, mats = op._matvec_factors
+    if u.shape != shape:
+        raise ShapeError(f"tensor shape {u.shape} does not match operator shape {shape}")
     # Each product takes the dtype of u and its own factor; the sum, that of all.
-    mats = op._matvec_factors
-    out = mu_mode_product(u, mats[0], 1).astype(np.result_type(u, *op.factors), copy=False)
-    for mu in range(2, op.d + 1):
+    out = mu_mode_product(u, mats[0], 1)
+    if out.dtype != dtype:
+        out = out.astype(np.result_type(out, dtype), copy=False)
+    for mu in range(2, len(mats) + 1):
         out += mu_mode_product(u, mats[mu - 1], mu)
     return out
 

@@ -143,6 +143,12 @@ _THETA = {
 }
 
 
+# Widens each bound of the stopping test past the rounding it covers: of one
+# ``f += b``, of the complex moduli in the norms (a few units of 2^-53), and
+# of a matvec's sums (at most n units for an n-term sum).
+_MARGIN = 1.0 + 2.0**-20
+
+
 def _expmv_reference(op, v, tau):
     """``exp(tau*M) v`` by a truncated Taylor series with scaling, to double precision.
 
@@ -154,6 +160,17 @@ def _expmv_reference(op, v, tau):
     ``|tau| * sum_mu |A_mu - mu_mu I|_1``, and ``(m, s)`` follow from that
     bound and the theta table: no norm estimate, so no random vectors.
     ``M`` acts only through :func:`kronmode.kron.matvec`.
+
+    The stopping test compares the norms of the last two terms with the
+    exact ``|f|_inf`` of the partial sum, but takes each norm only where the
+    test may pass.  A running upper bound on ``|f|_inf`` (the stage's
+    starting norm plus every term's norm or bound, each widened by a margin
+    far above the rounding it covers) stands in for the norm of the sum.
+    While the previous term's norm alone fails the test against that bound,
+    as it does for early terms, the new term's norm is not taken either: it
+    is bounded by the previous one times the shifted factors' largest row
+    sums.  So the stages stop at the same terms as with every norm taken
+    after every term, and the result has the same bits.
     """
     v = np.asarray(v)
     dtype = np.result_type(np.float64, v.dtype, *(a.dtype for a in op.factors))
@@ -163,20 +180,36 @@ def _expmv_reference(op, v, tau):
     m, s = min(((m, max(1, math.ceil(bound / theta))) for m, theta in _THETA.items()),
                key=lambda ms: ms[0] * ms[1])
     eta = np.exp(tau * sum(means) / s)
+    # |M b|_inf <= row_sums * |b|_inf, for the shifted M.
+    row_sums = sum(np.abs(a).sum(axis=1).max() for a in shifted.factors)
     # The sum f, a Fortran-ordered copy of v, and each term b are updated in
     # place; every scalar stays the first operand, since numpy's complex
     # multiply is not symmetric in its operands to the last bit.
     f = v.astype(dtype, order="F")
     for _ in range(s):
         b = f
-        c1 = norm(b, "max")
+        c1 = f_max = norm(b, "max")
         for j in range(1, m + 1):
-            b = matvec(shifted, b)
-            np.multiply(tau / (s * j), b, out=b)
-            c2 = norm(b, "max")
+            prev, b = b, matvec(shifted, b)
+            scale = tau / (s * j)
+            np.multiply(scale, b, out=b)
             f += b
-            if c1 + c2 <= 2.0**-53 * norm(f, "max"):
-                break
+            if c1 is not None:
+                # The test fails while c1 alone exceeds it against the bound
+                # on |f|_inf that |b|_inf <= |scale| * row_sums * c1 gives.
+                f_next = (f_max + abs(scale) * row_sums * c1 * _MARGIN) * _MARGIN
+                if c1 > 2.0**-53 * f_next:
+                    f_max, c1 = f_next, None
+                    continue
+            c2 = norm(b, "max")
+            f_max = (f_max + c2) * _MARGIN
+            if c2 <= 2.0**-53 * f_max:
+                if c1 is None:
+                    c1 = norm(prev, "max")
+                if c1 + c2 <= 2.0**-53 * f_max:
+                    f_max = norm(f, "max")
+                    if c1 + c2 <= 2.0**-53 * f_max:
+                        break
             c1 = c2
         np.multiply(eta, f, out=f)
     return f

@@ -146,7 +146,10 @@ def mu_mode_product(u, mat, mu):
             f"direction {mu}: matrix has {mat.shape[1]} columns, tensor extent is {n_mu}"
         )
 
-    out_dtype = np.result_type(u.dtype, mat.dtype)
+    # The promotion of one native dtype is itself; np.result_type takes about
+    # 1 µs a call (2-core x86-64), a fifth of this function's own overhead.
+    same = u.dtype == mat.dtype and u.dtype.isnative
+    out_dtype = u.dtype if same else np.result_type(u.dtype, mat.dtype)
     out_shape = shp[:ax] + (m,) + shp[ax + 1 :]
     macs = m * n_mu * prod(shp[:ax] + shp[ax + 1 :])
     for counter in _active_counters.get():

@@ -4,11 +4,16 @@ None of these is part of kronmode: each is a slow or special-case
 evaluation of something the library computes in tensor form.
 """
 
+import math
 from math import prod
 
 import numpy as np
 
+from kronmode.fd import NEUMANN_ZERO
 from kronmode.hermite import hamiltonian_factor
+from kronmode.kron import KroneckerOp, matvec
+from kronmode.krylov import _THETA
+from kronmode.tensor import norm
 
 
 class OracleSizeError(ValueError):
@@ -116,3 +121,97 @@ def weighted_forward_transform(values, phis, weights):
     for ax, phi in enumerate(phis):
         out = np.moveaxis(np.tensordot(phi, out, axes=(1, ax)), 0, ax)
     return out
+
+
+def fornberg_weights(x, center, m):
+    """Order-``m`` finite-difference weights on the nodes ``x`` at ``center``, one node at a time.
+
+    Fornberg's (1988) recurrence in scalar form, as ``kronmode.fd`` ran it
+    for each stencil before it batched the rows.
+    """
+    n = len(x)
+    weights = np.zeros((n, m + 1))
+    weights[0, 0] = 1.0
+    c1 = 1.0
+    c4 = x[0] - center
+    for i in range(1, n):
+        mn = min(i, m)
+        c2 = 1.0
+        c5 = c4
+        c4 = x[i] - center
+        for j in range(i):
+            c3 = x[i] - x[j]
+            c2 *= c3
+            if j == i - 1:
+                for k in range(mn, 0, -1):
+                    weights[i, k] = c1 * (k * weights[i - 1, k - 1] - c5 * weights[i - 1, k]) / c2
+                weights[i, 0] = -c1 * c5 * weights[i - 1, 0] / c2
+            for k in range(mn, 0, -1):
+                weights[j, k] = (c4 * weights[j, k] - k * weights[j, k - 1]) / c3
+            weights[j, 0] = c4 * weights[j, 0] / c3
+        c1 = c2
+    return weights[:, m]
+
+
+def diff_matrix_by_rows(grid, deriv_order, p, bc=None):
+    """``kronmode.fd.diff_matrix`` assembled one row and one stencil node at a time.
+
+    Each row's :func:`fornberg_weights` are added into the matrix in stencil
+    order; a periodic grid wraps the columns, a Neumann ghost reflects onto
+    the node as far inside and a Dirichlet ghost's term is dropped.
+    """
+    n, half = grid.n, p // 2
+    mat = np.zeros((n, n))
+    if grid.period is not None:
+        w = fornberg_weights(grid.period / n * (np.arange(p + 1) - half), 0.0, deriv_order)
+        rows = np.arange(n)
+        for s in range(p + 1):
+            mat[rows, (rows + s - half) % n] += w[s]
+        return mat
+    x = grid.points
+    ghost_left = 2 * x[0] - x[half:0:-1]
+    ghost_right = 2 * x[-1] - x[-2 : -half - 2 : -1]
+    extended = np.concatenate([ghost_left, x, ghost_right])
+    for i in range(n):
+        w = fornberg_weights(extended[i : i + p + 1], x[i], deriv_order)
+        for s in range(p + 1):
+            j = i + s - half
+            if 0 <= j < n:
+                mat[i, j] += w[s]
+            elif j < 0:
+                if bc.left == NEUMANN_ZERO:
+                    mat[i, -j] += w[s]
+            elif bc.right == NEUMANN_ZERO:
+                mat[i, 2 * (n - 1) - j] += w[s]
+    return mat
+
+
+def expmv_reference_eager(op, v, tau):
+    """``kronmode.krylov._expmv_reference`` with every norm taken after every term.
+
+    The same degree, scaling, shift and in-place updates; only the
+    stopping test differs, which takes the norms of the new term and of the
+    sum at each term instead of bounds on them.
+    """
+    v = np.asarray(v)
+    dtype = np.result_type(np.float64, v.dtype, *(a.dtype for a in op.factors))
+    means = [np.trace(a) / a.shape[0] for a in op.factors]
+    shifted = KroneckerOp(tuple(a - mu * np.eye(a.shape[0]) for a, mu in zip(op.factors, means)))
+    bound = abs(tau) * sum(np.abs(a).sum(axis=0).max() for a in shifted.factors)
+    m, s = min(((m, max(1, math.ceil(bound / theta))) for m, theta in _THETA.items()),
+               key=lambda ms: ms[0] * ms[1])
+    eta = np.exp(tau * sum(means) / s)
+    f = v.astype(dtype, order="F")
+    for _ in range(s):
+        b = f
+        c1 = norm(b, "max")
+        for j in range(1, m + 1):
+            b = matvec(shifted, b)
+            np.multiply(tau / (s * j), b, out=b)
+            c2 = norm(b, "max")
+            f += b
+            if c1 + c2 <= 2.0**-53 * norm(f, "max"):
+                break
+            c1 = c2
+        np.multiply(eta, f, out=f)
+    return f

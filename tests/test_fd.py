@@ -24,8 +24,9 @@ from kronmode.fd import (
     uniform_grid,
     uniform_periodic_grid,
 )
+from kronmode.fd import _stencil_weights
 from kronmode.kron import matvec
-from oracles import assemble_full
+from oracles import assemble_full, diff_matrix_by_rows, fornberg_weights
 
 
 class TestFdWeights:
@@ -103,6 +104,34 @@ class TestFdWeights:
     def test_nodes_and_center_are_finite(self, nodes, center):
         with pytest.raises(InvalidGridError):
             fd_weights(nodes, center, 1)
+
+    @pytest.mark.parametrize("nodes, center", [
+        ([0.0, 1.0, 2.0 + 1j], 0.0),
+        (np.array([-1.0, 0.0, 1.0]) + 0j, 0.0),
+        ([-1.0, 0.0, 1.0], 0.5j),
+        ([-1.0, 0.0, 1.0], np.complex128(0.5)),
+    ])
+    def test_complex_nodes_and_center_are_rejected(self, nodes, center):
+        with pytest.raises(InvalidGridError):
+            fd_weights(nodes, center, 1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**31), rows=st.integers(1, 6), n_nodes=st.integers(1, 9),
+           deriv=st.integers(0, 3))
+    def test_each_batched_row_is_its_one_row_weights_byte_for_byte(self, seed, rows, n_nodes,
+                                                                   deriv):
+        deriv = min(deriv, n_nodes - 1)
+        rng = np.random.default_rng(seed)
+        # Distinct nodes in random order, each row shifted and scaled on its own.
+        windows = np.cumsum(rng.uniform(0.05, 1.0, (rows, n_nodes)), axis=1)
+        windows = rng.permuted(windows * rng.uniform(0.1, 10.0, (rows, 1)), axis=1)
+        windows += rng.uniform(-5.0, 5.0, (rows, 1))
+        centers = rng.uniform(windows.min(axis=1), windows.max(axis=1))
+        got = _stencil_weights(windows, centers, deriv)
+        assert got.shape == (rows, n_nodes)
+        for nodes, center, w in zip(windows, centers, got):
+            assert w.tobytes() == fd_weights(nodes, center, deriv).tobytes()
+            assert w.tobytes() == fornberg_weights(nodes, center, deriv).tobytes()
 
 
 class TestDiffMatrix:
@@ -225,6 +254,31 @@ class TestDiffMatrix:
             assert (np.abs(d @ np.ones(n)) <= 1e-12 * (np.abs(d) @ np.ones(n))).all()
 
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        p=st.sampled_from([2, 4, 6, 8]),
+        deriv=st.sampled_from([1, 2]),
+        kind=st.sampled_from(["uniform", "sinh", "periodic"]),
+        bc=st.sampled_from([DIRICHLET_BC, NEUMANN_BC,
+                            BoundaryCondition(DIRICHLET_ZERO, NEUMANN_ZERO),
+                            BoundaryCondition(NEUMANN_ZERO, DIRICHLET_ZERO)]),
+        extra=st.integers(0, 40),
+        start=st.floats(-50.0, 50.0),
+        width=st.floats(0.1, 100.0),
+    )
+    def test_matches_the_row_by_row_assembly_byte_for_byte(self, p, deriv, kind, bc, extra,
+                                                           start, width):
+        n = p + 1 + extra
+        if kind == "periodic":
+            grid, bc = uniform_periodic_grid(start, start + width, n), None
+        elif kind == "uniform":
+            grid = uniform_grid(start, start + width, n)
+        else:
+            grid = sinh_clustered_grid(n)
+        got = diff_matrix(grid, deriv, p, bc)
+        assert got.tobytes() == diff_matrix_by_rows(grid, deriv, p, bc).tobytes()
+
+
 class TestGrids:
     def test_strict_monotonicity_required(self):
         with pytest.raises(InvalidGridError):
@@ -237,6 +291,15 @@ class TestGrids:
         ([0.0, 1.0, np.inf], None),
     ])
     def test_points_are_finite(self, points, period):
+        with pytest.raises(InvalidGridError):
+            Grid1D(points, period=period)
+
+    @pytest.mark.parametrize("points, period", [
+        ([0.0, 1.0 + 1j], None),
+        (np.array([0.0, 0.5]) + 0j, None),
+        (np.array([0.0, 0.5]) + 0j, 1.0),
+    ])
+    def test_complex_points_are_rejected(self, points, period):
         with pytest.raises(InvalidGridError):
             Grid1D(points, period=period)
 

@@ -53,6 +53,11 @@ class TestHermiteEval:
         with pytest.raises(InvalidInputError):
             hermite_eval(3, x)
 
+    @pytest.mark.parametrize("x", [1 + 1j, np.array([1 + 0.5j]), np.array([0.0, 1.0]) + 0j])
+    def test_complex_points_rejected(self, x):
+        with pytest.raises(InvalidInputError):
+            hermite_eval(3, x)
+
 
 class TestGaussHermite:
     def test_single_node(self):

@@ -15,7 +15,7 @@ from kronmode.kron import KroneckerOp, prepare, step
 from kronmode.krylov import _THETA, _expmv_reference, arnoldi_expmv
 from kronmode.linalg import matexp
 from kronmode.tensor import norm
-from oracles import assemble_full
+from oracles import assemble_full, expmv_reference_eager
 
 
 def test_zero_increment_returns_input_exactly():
@@ -285,6 +285,59 @@ class TestExpmvReference:
         got = _expmv_reference(op, c0, 4.0).ravel(order="F")
         want = expm_multiply(4.0 * full.tocsr(), c0.ravel(order="F"))
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    @settings(max_examples=60, deadline=None)
+    @given(shape=st.lists(st.integers(1, 5), min_size=1, max_size=3).map(tuple),
+           seed=st.integers(0, 2**31),
+           tau=st.one_of(st.floats(-2.0, 2.0), st.sampled_from([0.0, 5e-324, -1e-308])),
+           complex_factors=st.booleans(), complex_v=st.booleans())
+    def test_stops_where_the_norm_after_every_term_stops(self, shape, seed, tau,
+                                                         complex_factors, complex_v):
+        rng = np.random.default_rng(seed)
+        op = _random_op(rng, shape, complex_factors)
+        v = rng.standard_normal(shape)
+        if complex_v:
+            v = v + 1j * rng.standard_normal(shape)
+        got = _expmv_reference(op, v, tau)
+        want = expmv_reference_eager(op, v, tau)
+        assert got.dtype == want.dtype
+        assert got.tobytes(order="F") == want.tobytes(order="F")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_entry_stops_where_the_norm_after_every_term_stops(self, bad):
+        rng = np.random.default_rng(18)
+        op = _random_op(rng, (4, 3), False)
+        v = rng.standard_normal(op.shape)
+        v[1, 2] = bad
+        with np.errstate(all="ignore"):
+            got = _expmv_reference(op, v, 0.7)
+            want = expmv_reference_eager(op, v, 0.7)
+        assert got.tobytes(order="F") == want.tobytes(order="F")
+
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_pipeflow_bits_are_those_of_the_norm_after_every_term(self, n):
+        op = pipeflow_factors(n)
+        c0 = _pipeflow_state(n)
+        got = _expmv_reference(op, c0, 4.0)
+        assert got.tobytes(order="F") == expmv_reference_eager(op, c0, 4.0).tobytes(order="F")
+
+    def test_pipeflow_n96_takes_the_norm_of_the_sum_only_near_a_stop(self, monkeypatch):
+        calls = {"matvec": 0, "norm": 0}
+
+        def spy(name, fn):
+            def counted(*args):
+                calls[name] += 1
+                return fn(*args)
+            return counted
+
+        monkeypatch.setattr(krylov, "matvec", spy("matvec", kron.matvec))
+        monkeypatch.setattr(krylov, "norm", spy("norm", norm))
+        _expmv_reference(pipeflow_factors(96), _pipeflow_state(96), 4.0)
+        # 532 norms: about one for every other term, one per stage and a few
+        # near each stop. With the norms of both terms and the sum after
+        # every term it was 1689.
+        assert calls["matvec"] == 832
+        assert calls["norm"] <= 600
 
     def test_zero_increment_returns_input(self):
         rng = np.random.default_rng(9)
