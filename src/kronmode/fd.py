@@ -119,14 +119,16 @@ def fd_weights(nodes, center, deriv_order):
     """Finite-difference weights on arbitrary distinct nodes.
 
     Returns coefficients c with ``sum_j c[j] f(nodes[j])`` approximating the
-    ``deriv_order``-th derivative of f at ``center``, exact for polynomials
-    up to degree ``len(nodes) - 1`` (the classical recursive
+    ``deriv_order``-th derivative of f at the scalar ``center``, exact for
+    polynomials up to degree ``len(nodes) - 1`` (the classical recursive
     interpolation-weight construction).
     """
     x = _real_array(nodes, "stencil nodes", InvalidGridError)
     if x.ndim != 1 or x.size == 0:
         raise InvalidGridError("stencil nodes must be a non-empty vector")
     center = _real_array(center, "a stencil center", InvalidGridError)
+    if center.ndim != 0:
+        raise InvalidGridError(f"a stencil center must be a scalar, got shape {center.shape}")
     return _stencil_weights(x[None], center.reshape(1), deriv_order)[0]
 
 

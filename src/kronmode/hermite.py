@@ -118,25 +118,15 @@ def forward_transform(bases, values):
     return tucker(values, [b.phi * b.mod_weights for b in bases])
 
 
-def inverse_transform(bases, coeffs, eval_points=None):
-    """Basis coefficients to values on a grid.
+def inverse_transform(bases, coeffs):
+    """Basis coefficients to values at the quadrature nodes.
 
-    With ``eval_points`` omitted the grid is the quadrature node set and the
-    transform is the exact inverse of :func:`forward_transform`; otherwise
-    one coordinate vector per direction selects an arbitrary evaluation
-    grid.
+    The exact inverse of :func:`forward_transform`.  For values at other
+    points, apply the transpose of :func:`hermite_eval` at them.
     """
     coeffs = np.asarray(coeffs)
     _check_field_shape(bases, coeffs, "coefficient tensor")
-    if eval_points is None:
-        mats = [b.phi.conj().T for b in bases]
-    else:
-        if len(eval_points) != len(bases):
-            raise ShapeError(
-                f"expected {len(bases)} evaluation point sets, got {len(eval_points)}"
-            )
-        mats = [hermite_eval(b.k, np.atleast_1d(pts)).T for b, pts in zip(bases, eval_points)]
-    return tucker(coeffs, mats)
+    return tucker(coeffs, [b.phi.conj().T for b in bases])
 
 
 def potential_operator(basis, potential):

@@ -10,10 +10,11 @@ from math import prod
 import numpy as np
 
 from kronmode.fd import NEUMANN_ZERO
-from kronmode.hermite import hamiltonian_factor
+from kronmode.hermite import hamiltonian_factor, hermite_eval
 from kronmode.kron import KroneckerOp, matvec
 from kronmode.krylov import _THETA
-from kronmode.tensor import norm
+from kronmode.problems import hermite_solve
+from kronmode.tensor import norm, tucker
 
 
 class OracleSizeError(ValueError):
@@ -86,6 +87,18 @@ def harmonic_factors(basis):
     """
     factors = (hamiltonian_factor(basis, lambda x: 0.5 * x * x),) * 3
     return lambda t: factors
+
+
+def full_tensor_reference(k_ref, factors_of, T, steps, points):
+    """The Schrodinger reference through the whole ``k_ref^3`` coefficient tensor.
+
+    :func:`kronmode.problems.hermite_solve` with ``k_ref`` functions and
+    ``steps`` steps, then one ``tucker`` with the transposed
+    :func:`kronmode.hermite.hermite_eval` matrix at ``points`` in every
+    direction: the values on the tensor grid of ``points``.
+    """
+    _, _, coeffs = hermite_solve(k_ref, factors_of, T, steps)
+    return tucker(coeffs, [hermite_eval(k_ref, points).T] * 3)
 
 
 def rotate_full(psi, h, weights):

@@ -115,6 +115,11 @@ class TestFdWeights:
         with pytest.raises(InvalidGridError):
             fd_weights(nodes, center, 1)
 
+    @pytest.mark.parametrize("center", [[0.0, 1.0], np.zeros((1, 1)), [0.5]])
+    def test_a_center_that_is_not_a_scalar_is_rejected(self, center):
+        with pytest.raises(InvalidGridError, match="scalar"):
+            fd_weights([0.0, 1.0, 2.0], center, 1)
+
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**31), rows=st.integers(1, 6), n_nodes=st.integers(1, 9),
            deriv=st.integers(0, 3))

@@ -43,12 +43,22 @@ class TestHermiteEval:
         out = hermite_eval(4, np.array([0.0, 1.0, 2.0]))
         assert out.shape == (4, 3)
 
+    def test_an_expansion_evaluates_between_the_nodes(self):
+        # The Schrodinger reference's route: transform a 1-D function at the
+        # quadrature nodes, then sum the expansion at other points.  The
+        # error is 1.1e-10 at k=40 and 4.8e-15 at k=60.
+        basis = hermite_basis(60)
+        coeffs = (basis.phi * basis.mod_weights) @ (basis.nodes * np.exp(-basis.nodes**2 / 4))
+        points = np.random.default_rng(3).uniform(-4.0, 4.0, 50)
+        got = hermite_eval(60, points).T @ coeffs
+        assert np.abs(got - points * np.exp(-points**2 / 4)).max() <= 1e-13
+
     @pytest.mark.parametrize("x", [np.zeros((2, 2)), np.zeros((1, 3)), [[0.0]]])
     def test_points_of_more_than_one_dimension_rejected(self, x):
         with pytest.raises(ShapeError):
             hermite_eval(3, x)
 
-    @pytest.mark.parametrize("x", [np.nan, np.inf, [0.0, -np.inf], [1.0, np.nan]])
+    @pytest.mark.parametrize("x", [np.nan, np.inf, [0.0, -np.inf], [1.0, np.nan], [0.0, np.inf]])
     def test_non_finite_points_rejected(self, x):
         with pytest.raises(InvalidInputError):
             hermite_eval(3, x)
@@ -145,14 +155,6 @@ class TestTransforms:
         want = np.outer(basis.phi[0], basis.phi[0])
         assert np.abs(got - want).max() <= 1e-14
 
-    def test_evaluation_at_arbitrary_points(self):
-        rng = np.random.default_rng(2)
-        basis = hermite_basis(10)
-        coeffs = rng.standard_normal(10)
-        got = inverse_transform((basis,), coeffs, eval_points=[np.array([0.0])])
-        want = sum(coeffs[i] * hermite_eval(10, 0.0)[i] for i in range(10))
-        assert got[0] == pytest.approx(want, rel=1e-13)
-
     def test_parseval(self):
         rng = np.random.default_rng(3)
         basis = hermite_basis(20)
@@ -200,16 +202,9 @@ class TestTransforms:
         with pytest.raises(ShapeError):
             forward_transform((basis,), np.zeros(5))
         with pytest.raises(ShapeError):
-            inverse_transform((basis,), np.zeros(4), eval_points=[np.zeros(3), np.zeros(3)])
+            inverse_transform((basis,), np.zeros(5))
         with pytest.raises(ShapeError):
-            inverse_transform((basis,), np.zeros(4), eval_points=[np.zeros((2, 2))])
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_evaluation_point_rejected(self, bad):
-        basis = hermite_basis(4)
-        with pytest.raises(InvalidInputError):
-            inverse_transform((basis, basis), np.zeros((4, 4)),
-                              eval_points=[np.zeros(3), np.array([0.0, bad])])
+            inverse_transform((basis, basis), np.zeros(4))
 
 
 class TestHarmonicEigenvalues:
