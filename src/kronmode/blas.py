@@ -1,12 +1,14 @@
 """Scoped thread counts for the two OpenBLAS pools numpy and scipy bundle.
 
 numpy and scipy wheels each ship their own OpenBLAS, so one process has
-two BLAS thread pools: numpy's (matmul, hence the mode products) and
-scipy's (``scipy.linalg``, hence ``expm``).  Both are reached through
-ctypes.  The libraries are already loaded once numpy and scipy.linalg
-are imported, so ``CDLL`` returns the live library, not a fresh copy.
-Outside such wheels a pool is not found and :func:`limit` leaves it
-alone.
+two BLAS thread pools: numpy's runs every matmul of the library, the mode
+products and the matrix exponentials alike, and scipy's serves only
+``eigh_tridiagonal`` in :func:`kronmode.hermite.gauss_hermite`.  Both are
+reached through ctypes.  The libraries are already loaded once numpy and
+scipy.linalg are imported, so ``CDLL`` returns the live library, not a
+fresh copy.  Outside such wheels a pool is not found and :func:`limit`
+leaves it alone.  The library sets thread counts only in
+:func:`kronmode.cli.run`, for a ``--threads`` flag.
 """
 
 from __future__ import annotations

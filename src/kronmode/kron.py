@@ -115,20 +115,6 @@ def matvec(op, u):
     return out
 
 
-def _factor_exp(tau, a):
-    """``exp(tau*a)``: a 1-D vector if ``a`` is exactly diagonal, else :func:`matexp`.
-
-    The vector holds the diagonal of the exponential.  Exactly diagonal
-    means that every off-diagonal entry is zero, with no tolerance.  A
-    non-square or non-finite ``a`` is rejected on either path.
-    """
-    a = np.asarray(a)
-    if a.ndim == 2 and np.count_nonzero(a) == np.count_nonzero(np.diagonal(a)):
-        _check_square_finite((a,), "factor")
-        return np.exp(tau * np.diagonal(a))
-    return matexp(tau * a)
-
-
 def _cast(arr, dtype):
     """``arr`` in single precision if ``dtype`` is single, else ``arr`` itself.
 
@@ -149,27 +135,53 @@ def _cast(arr, dtype):
     return out
 
 
-def _exponentials(tau, factors, dtype=None, known=None):
-    """``exp(tau*a)`` of every factor ``a`` by :func:`_factor_exp`, cast by :func:`_cast`.
+def _exponentials(tau, midpoints, dtype=None, known=None):
+    """``exp(tau*a)`` of every factor ``a`` of each tuple of ``midpoints``, cast by :func:`_cast`.
 
-    Each distinct array object is exponentiated once, even if it serves
-    several directions.  Returns the exponentials in factor order and the
-    map ``id(a) -> (a, exponential)``; passed back as ``known`` (with the
-    same ``tau`` and ``dtype``), it supplies the exponential of every factor
-    that is the same object again.  The map holds the factors, so their ids
-    are not reused by other objects while it lives.  The call's seconds go
-    to ``exp_s`` of :func:`kronmode.tensor.count_flops`.
+    An exactly diagonal factor (every off-diagonal entry zero, with no
+    tolerance) gets the 1-D vector of its exponential's diagonal.  The dense
+    exponentials of all the midpoints go into one :func:`matexp` call per
+    factor shape and dtype.  A non-square or non-finite factor is rejected
+    on either path.  A midpoint reuses the exponential of every factor that
+    is the same array object as one of the midpoint before it, and a factor
+    object that serves several directions is exponentiated once.  Returns
+    the exponentials of each midpoint in factor order and the map
+    ``id(a) -> [a, exponential]`` of the last one; passed back as ``known``
+    (with the same ``tau`` and ``dtype``), it stands for the midpoint before
+    the first.  The map holds the factors, so their ids are not reused by
+    other objects while it lives.  The call's seconds go to ``exp_s`` of
+    :func:`kronmode.tensor.count_flops`.
     """
     start = perf_counter()
-    known = {} if known is None else known
-    now = {}
-    for a in factors:
-        if id(a) not in now:
-            now[id(a)] = known.get(id(a)) or (a, _cast(_factor_exp(tau, a), dtype))
+    now = {} if known is None else known
+    dense = {}  # (shape, dtype) -> [(factor, its entry)] for matexp
+    per_midpoint = []
+    for factors in midpoints:
+        before, now = now, {}
+        for a in factors:
+            if id(a) in now:
+                continue
+            if id(a) in before:
+                now[id(a)] = before[id(a)]
+                continue
+            arr = np.asarray(a)
+            entry = now[id(a)] = [a, None]
+            if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+                raise ShapeError(f"a factor must be a square matrix, got shape {arr.shape}")
+            if np.count_nonzero(arr) == np.count_nonzero(np.diagonal(arr)):
+                _check_square_finite((arr,), "factor")
+                entry[1] = _cast(np.exp(tau * np.diagonal(arr)), dtype)
+            else:
+                dense.setdefault((arr.shape, arr.dtype), []).append((arr, entry))
+        per_midpoint.append([now[id(a)] for a in factors])
+    for group in dense.values():
+        exps = _cast(matexp(tau * np.stack([arr for arr, _ in group])), dtype)
+        for (_, entry), e in zip(group, exps):
+            entry[1] = e
     seconds = perf_counter() - start
     for counter in _active_counters.get():
         counter.exp_s += seconds
-    return [now[id(a)][1] for a in factors], now
+    return [[entry[1] for entry in entries] for entries in per_midpoint], now
 
 
 def prepare(op, tau, dtype=None):
@@ -185,7 +197,7 @@ def prepare(op, tau, dtype=None):
     is rejected (:class:`ConfigurationError`); a zero or negative one is not.
     """
     _check_finite("time increment", tau)
-    return PropagatorCache(tau, tuple(_exponentials(tau, op.factors, dtype)[0]))
+    return PropagatorCache(tau, tuple(_exponentials(tau, [op.factors], dtype)[0][0]))
 
 
 def step(cache, u, steps=1):

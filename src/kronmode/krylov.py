@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigurationError, NoConvergenceError, ShapeError, _check_count, _check_finite
 from .kron import KroneckerOp, matvec
-from .linalg import matexp
+from .linalg import _THETA, matexp
 from .tensor import norm
 
 __all__ = ["arnoldi_expmv"]
@@ -130,17 +130,6 @@ def _arnoldi_substep(op, y0, shape, tau, tol, m_max):
 def _project(basis, hess, m, tau, beta):
     small = matexp(tau * hess[:m, :m])
     return basis[:, :m] @ (beta * small[:, 0])
-
-
-# Al-Mohy and Higham (2011), theta_m for double precision: the m-term Taylor
-# polynomial of exp(X) has backward error at most 2^-53 while |X|_1 <= theta_m.
-_THETA = {
-    1: 2.29e-16, 2: 2.58e-8, 3: 1.39e-5, 4: 3.40e-4, 5: 2.40e-3, 6: 9.07e-3, 7: 2.38e-2,
-    8: 5.00e-2, 9: 8.96e-2, 10: 1.44e-1, 11: 2.14e-1, 12: 3.00e-1, 13: 4.00e-1, 14: 5.14e-1,
-    15: 6.41e-1, 16: 7.81e-1, 17: 9.31e-1, 18: 1.09, 19: 1.26, 20: 1.44, 21: 1.62, 22: 1.82,
-    23: 2.01, 24: 2.22, 25: 2.43, 26: 2.64, 27: 2.86, 28: 3.08, 29: 3.31, 30: 3.54, 35: 4.7,
-    40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9,
-}
 
 
 # Widens each bound of the stopping test past the rounding it covers: of one

@@ -12,7 +12,7 @@ import numpy as np
 from kronmode.fd import NEUMANN_ZERO
 from kronmode.hermite import hamiltonian_factor, hermite_eval
 from kronmode.kron import KroneckerOp, matvec
-from kronmode.krylov import _THETA
+from kronmode.linalg import _THETA
 from kronmode.problems import hermite_solve
 from kronmode.tensor import norm, tucker
 

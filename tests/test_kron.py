@@ -206,12 +206,13 @@ class TestPrepare:
         assert np.count_nonzero(want == 0) > np.count_nonzero(arr == 0)
 
     def test_shared_factor_object_is_exponentiated_once(self, monkeypatch):
-        calls = []
+        calls = []  # the shape of each matrix of each call
         original = kron.matexp
-        monkeypatch.setattr(kron, "matexp", lambda a: calls.append(a.shape) or original(a))
+        monkeypatch.setattr(kron, "matexp",
+                            lambda a: calls.append([m.shape for m in a]) or original(a))
         op = heat_factors(16, 2)
         cache = prepare(op, 0.1)
-        assert calls == [(16, 16)]
+        assert calls == [[(16, 16)]]
         assert np.array_equal(cache.exps[2], original(0.1 * op.factors[2]))
 
     @pytest.mark.parametrize("tau", [np.inf, -np.inf, np.nan])

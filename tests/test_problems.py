@@ -45,6 +45,19 @@ from kronmode.tensor import norm
 from oracles import full_tensor_reference, harmonic_eigenvalues, harmonic_factors, rotate_full
 
 
+def _record_matexp(monkeypatch):
+    """The shapes of the matrices of every ``kron.matexp`` call, one list per call."""
+    calls = []
+    matexp = kron.matexp
+
+    def recording_matexp(a):
+        calls.append([m.shape for m in a.reshape(-1, *a.shape[-2:])])
+        return matexp(a)
+
+    monkeypatch.setattr(kron, "matexp", recording_matexp)
+    return calls
+
+
 class TestRelativeError:
     def test_equal_tensors(self):
         u = np.ones((2, 3))
@@ -231,13 +244,13 @@ class TestHeat:
         assert self.peak_states(steps=4, precision="single") <= 2.1
 
     def test_exponential_seconds_count_as_exponential_time(self, monkeypatch):
-        factor_exp = kron._factor_exp
+        matexp = kron.matexp
 
-        def slow_factor_exp(tau, a):
+        def slow_matexp(a):
             time.sleep(0.02)
-            return factor_exp(tau, a)
+            return matexp(a)
 
-        monkeypatch.setattr(kron, "_factor_exp", slow_factor_exp)
+        monkeypatch.setattr(kron, "matexp", slow_matexp)
         report = heat3d_run(8)
         assert report.time_exp_s >= 0.02
         assert report.time_mumode_s < 0.02
@@ -361,23 +374,11 @@ class TestMagnusMidpoint:
             single = magnus_midpoint_step(factors_of_t, single, 0.1 + s * tau, tau)
         assert np.array_equal(merged, single)
 
-    @staticmethod
-    def _count_matexp(monkeypatch):
-        calls = []
-        matexp = kron.matexp
-
-        def counting_matexp(a):
-            calls.append(a.shape)
-            return matexp(a)
-
-        monkeypatch.setattr(kron, "matexp", counting_matexp)
-        return calls
-
     def test_driver_exponentiates_only_the_changed_factors(self, monkeypatch):
-        calls = self._count_matexp(monkeypatch)
+        calls = _record_matexp(monkeypatch)
         hkmp_run(8, steps=4, ref_steps=None)
         # the driven factor once per step; the two static ones are diagonal
-        assert len(calls) == 4
+        assert sum(map(len, calls)) == 4
 
     def test_shared_factor_object_is_exponentiated_once(self, monkeypatch):
         rng = np.random.default_rng(3)
@@ -387,11 +388,26 @@ class TestMagnusMidpoint:
         def factors_of_t(t):
             return (static, static, np.sin(t) * driven)
 
-        calls = self._count_matexp(monkeypatch)
+        calls = _record_matexp(monkeypatch)
         u = np.asfortranarray(rng.standard_normal((3, 3, 3)))
         steps = 5
         magnus_midpoint_step(factors_of_t, u, 0.0, 0.1, steps=steps)
-        assert len(calls) == steps + 1
+        assert sum(map(len, calls)) == steps + 1
+
+    @pytest.mark.parametrize("block, sizes", [(1, [1] * 7), (500, [3, 3, 1]), (10**9, [7])])
+    def test_the_block_of_midpoints_does_not_change_the_result(self, monkeypatch, block,
+                                                               sizes):
+        # td's k=8 factors hold 192 entries per midpoint, so a block of 500
+        # entries closes after 3 midpoints and the last block is ragged.
+        basis = hermite_basis(8)
+        factors_of_t = hkmp_factors(basis)
+        c0 = forward_transform((basis,) * 3, schrodinger_initial_state((basis.nodes,) * 3))
+        want = magnus_midpoint_step(factors_of_t, c0, 0.1, 0.05, steps=7)
+        monkeypatch.setattr(problems, "_EXP_BLOCK", block)
+        calls = _record_matexp(monkeypatch)
+        got = magnus_midpoint_step(factors_of_t, c0, 0.1, 0.05, steps=7)
+        assert [len(call) for call in calls] == sizes
+        assert np.array_equal(got, want)
 
     def test_non_finite_or_non_square_diagonal_factor_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -479,7 +495,8 @@ class TestMagnusMidpoint:
 
         def watching_exponentials(*args):
             exps, known = exponentials(*args)
-            made.extend(exps)
+            for midpoint in exps:
+                made.extend(midpoint)
             return exps, known
 
         monkeypatch.setattr(problems, "_exponentials", watching_exponentials)
@@ -518,12 +535,11 @@ class TestHkmpRun:
 
 class TestGpe:
     def test_one_factor_is_exponentiated_for_all_directions(self, monkeypatch):
-        calls = []
         original = kron.matexp
-        monkeypatch.setattr(kron, "matexp", lambda a: calls.append(a.shape) or original(a))
+        calls = _record_matexp(monkeypatch)
         grids, lin_op, weights = gpe_setup(16)
         cache = prepare(lin_op, 0.1)
-        assert calls == [(16, 16)]
+        assert calls == [[(16, 16)]]
         # The same factor and weights as one grid per direction would give.
         sym_op, want_weights = gpe_weighted_factors([sinh_clustered_grid(16) for _ in range(3)])
         for a, want, w, want_w in zip(lin_op.factors, sym_op.factors, weights, want_weights):
@@ -882,12 +898,11 @@ class TestRankTwoReference:
     def test_it_runs_one_dense_exponential_per_midpoint(self, monkeypatch):
         # The run and its reference take their exponentials from one
         # generator: directions 1 and 2 of the driven problem are static
-        # diagonals, so only direction 3 calls matexp, once per midpoint.
-        calls = []
-        original = kron.matexp
-        monkeypatch.setattr(kron, "matexp", lambda a: calls.append(a.shape) or original(a))
+        # diagonals, so only direction 3 is exponentiated, once per midpoint,
+        # and each call's midpoints fit in one block.
+        calls = _record_matexp(monkeypatch)
         hkmp_run(8, steps=3, ref_steps=5)
-        assert calls == [(8, 8)] * (3 + 5)
+        assert calls == [[(8, 8)] * 3, [(8, 8)] * 5]
 
 
 class TestSchrodingerInitialState:

@@ -307,7 +307,7 @@ def test_flop_counters_in_two_threads_count_only_their_own_products():
     # One thread runs only mode products, the other only exponentials.
     # The vector slots are scalings, which count no multiply-adds.
     kernels = [lambda: tucker(u, [np.ones(2), mat, np.ones(4)]),
-               lambda: _exponentials(0.1, [factor])]
+               lambda: _exponentials(0.1, [[factor]])]
     both_armed = threading.Barrier(2, timeout=30)
     both_done = threading.Barrier(2, timeout=30)
     counters = [None, None]
