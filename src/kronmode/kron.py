@@ -9,7 +9,7 @@ dense ``M`` is never formed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import repeat
 from time import perf_counter
@@ -74,11 +74,14 @@ class PropagatorCache:
     changes.  Every entry must be finite, and either a square matrix or a
     1-D vector that stands for a diagonal exponential (as :func:`prepare`
     builds for an exactly diagonal factor; :func:`kronmode.tensor.tucker`
-    applies it as a scaling).
+    applies it as a scaling).  :func:`prepare` also keeps, for each
+    direction it folds, the entries of the folded steps (see
+    :func:`_step_entries`); a cache built from ``exps`` alone folds none.
     """
 
     tau: float
     exps: tuple
+    _folds: tuple = field(default=(), repr=False, compare=False)
 
     def __post_init__(self):
         exps = tuple(np.asarray(e) for e in self.exps)
@@ -190,14 +193,61 @@ def prepare(op, tau, dtype=None):
     An exactly diagonal factor gets the 1-D vector of its exponential's
     diagonal, every other one the dense exponential (see
     :class:`PropagatorCache`); a factor object shared by several directions
-    is exponentiated once.  The exponentials are computed in double
-    precision; with a single-precision ``dtype`` (the state's dtype, say
-    ``np.float32``) each one is then cast to single precision, with its
-    subnormal parts flushed to zero (see :func:`_cast`).  A non-finite ``tau``
-    is rejected (:class:`ConfigurationError`); a zero or negative one is not.
+    is exponentiated once.  A dense factor of even extent ``n = 2m`` that is
+    exactly centrosymmetric (``a == a[::-1, ::-1]``, with no tolerance) is
+    folded: with ``T = [[I, J], [I, -J]]`` (``J`` the m x m exchange
+    matrix), ``T a T^-1 = blkdiag(a11 + a12 J, a11 - a12 J)`` (Cantoni and
+    Butler 1976).  Its two m x m blocks are exponentiated, in the one
+    :func:`kronmode.linalg.matexp` call of their shape with the other
+    factors, and its dense exponential is built from theirs; :func:`step`
+    applies the blocks (see :func:`_step_entries`).  The exponentials are
+    computed in double precision; with a single-precision ``dtype`` (the
+    state's dtype, say ``np.float32``) each one is then cast to single
+    precision, with its subnormal parts flushed to zero (see :func:`_cast`).
+    A non-finite ``tau`` is rejected (:class:`ConfigurationError`); a zero
+    or negative one is not.
     """
     _check_finite("time increment", tau)
-    return PropagatorCache(tau, tuple(_exponentials(tau, [op.factors], dtype)[0][0]))
+    unique = list({id(a): a for a in op.factors}.values())
+    halves = [_halves(a) for a in unique]
+    exps = iter(_exponentials(tau, [[p for a, h in zip(unique, halves) for p in h or (a,)]])[0][0])
+    # id(a) -> (exponential, fold entries or None)
+    built = {id(a): _from_blocks(next(exps), next(exps), dtype) if h
+             else (_cast(next(exps), dtype), None) for a, h in zip(unique, halves)}
+    exps, folds = zip(*(built[id(a)] for a in op.factors))
+    return PropagatorCache(tau, exps, folds)
+
+
+def _halves(a):
+    """The fold's blocks ``(a11 + a12 J, a11 - a12 J)`` of ``a`` (see :func:`prepare`), or None.
+
+    None unless ``a`` has even extent, is not exactly diagonal and is exactly
+    centrosymmetric.  The blocks are in the dtype that :func:`matexp`
+    returns for ``a``.
+    """
+    m, odd = divmod(a.shape[0], 2)
+    if (odd or np.count_nonzero(a) == np.count_nonzero(np.diagonal(a))
+            or not np.array_equal(a, a[::-1, ::-1])):
+        return None
+    a = a.astype(np.result_type(a.dtype, np.float64), copy=False)
+    a11, a12_j = a[:m, :m], a[:m, m:][:, ::-1]
+    return a11 + a12_j, a11 - a12_j
+
+
+def _from_blocks(e_plus, e_minus, dtype):
+    """A folded factor's exponential and fold entries from the exponentials of its blocks.
+
+    ``E = T^-1 blkdiag(E+, E-) T``; the fold entries are the stack of the two
+    blocks, ``blkdiag(E+, E-) T`` and ``T^-1 blkdiag(E+, E-)``, each cast by
+    :func:`_cast`.  A block that came back as a diagonal's vector is made a
+    matrix first.
+    """
+    ep, em = (e if e.ndim == 2 else np.diag(e) for e in (e_plus, e_minus))
+    s, d = 0.5 * (ep + em), 0.5 * (ep - em)
+    full = np.block([[s, d[:, ::-1]], [d[::-1], s[::-1, ::-1]]])
+    first = np.block([[ep, ep[:, ::-1]], [em, -em[:, ::-1]]])
+    last = 0.5 * np.block([[ep, em], [ep[::-1], -em[::-1]]])
+    return _cast(full, dtype), tuple(_cast(f, dtype) for f in (np.stack([ep, em]), first, last))
 
 
 def step(cache, u, steps=1):
@@ -206,7 +256,12 @@ def step(cache, u, steps=1):
     Exact (up to rounding and the factor exponentials) for linear problems
     whose generator is the Kronecker sum the cache was prepared from.
     Factors are applied in ascending direction order; any order gives the
-    same result because the factor exponentials commute.
+    same result because the factor exponentials commute.  Over two or more
+    steps, each direction that :func:`prepare` folded is stepped in the
+    folded coordinates, as its two half-size blocks (see
+    :func:`_step_entries`): half the multiply-adds of its dense products in
+    every step but the first and the last, and the same result up to
+    rounding.  One step applies the dense exponentials.
 
     ``u`` is not modified: the first step runs out of place (a
     :func:`kronmode.tensor.tucker` call given no buffers), and its result is
@@ -216,7 +271,28 @@ def step(cache, u, steps=1):
     u = np.asarray(u)
     if u.shape != cache.shape:
         raise ShapeError(f"tensor shape {u.shape} does not match cache shape {cache.shape}")
-    return _advance(repeat(cache.exps, steps - 1), tucker(u, cache.exps))
+    entries = _step_entries(cache, steps)
+    return _advance(entries, tucker(u, next(entries)))
+
+
+def _step_entries(cache, steps):
+    """The :func:`kronmode.tensor.tucker` entries of each of ``steps`` steps of ``cache``.
+
+    With no folded direction, or in one step, every step gets ``cache.exps``.
+    Otherwise a folded direction gets ``blkdiag(E+, E-) T`` in the first
+    step, which also folds the state, the ``(2, m, m)`` stack of its blocks
+    in the middle steps and ``T^-1 blkdiag(E+, E-)`` in the last, which
+    unfolds it: ``E^s = (T^-1 B) B^(s-2) (B T)`` with ``B = blkdiag(E+, E-)``.
+    The other directions get their exponentials in every step.
+    """
+    if steps < 2 or all(f is None for f in cache._folds):
+        yield from repeat(cache.exps, steps)
+        return
+    first, blocks, last = ([e if f is None else f[i] for e, f in zip(cache.exps, cache._folds)]
+                           for i in (1, 0, 2))
+    yield first
+    yield from repeat(blocks, steps - 2)
+    yield last
 
 
 def _advance(exps_per_step, u, after_step=None):

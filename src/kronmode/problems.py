@@ -45,7 +45,7 @@ from .hermite import (
     inverse_transform,
     potential_operator,
 )
-from .kron import KroneckerOp, _advance, _cast, _exponentials, prepare
+from .kron import KroneckerOp, _advance, _cast, _exponentials, _step_entries, prepare
 from .krylov import _expmv_reference
 from .tensor import norm as tensor_norm
 from .tensor import _along, count_flops, tucker
@@ -128,9 +128,12 @@ class _Run:
 
         The stepping loop owns the cast (see :func:`kronmode.kron._advance`):
         in double precision that is ``u0`` itself, which the caller reads no
-        more once the products overwrite it.
+        more once the products overwrite it.  The steps are those of
+        :func:`kronmode.kron.step`: over two or more, each direction that
+        :func:`kronmode.kron.prepare` folds is stepped as its two half-size
+        blocks.
         """
-        return _advance(repeat(prepare(op, self.tau, self.dtype).exps, self.steps),
+        return _advance(_step_entries(prepare(op, self.tau, self.dtype), self.steps),
                         _cast(u0, self.dtype))
 
     def report(self, problem, u, error, norm_kind, **fields):

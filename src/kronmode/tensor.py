@@ -115,9 +115,11 @@ def mu_mode_product(u, mat, mu):
     Notes
     -----
     ``u`` is read without a copy in Fortran order and in the layout
-    :func:`tucker` passes: ``mu`` the last direction, its axis the fastest,
-    the other axes in Fortran order (one multiplication).  Any other layout
-    is copied to Fortran order first.  Direction 1 is ``unfold.T @ mat.T``:
+    :func:`tucker` passes: ``mu`` the last direction, its axis of unit
+    stride, the other axes in Fortran order or merging into one stride, as
+    those of a block of rows of the unfolding do (one multiplication, which
+    reads that block as a view).  Any other layout is copied to Fortran
+    order first.  Direction 1 is ``unfold.T @ mat.T``:
     a Fortran-ordered ``mat`` makes it a non-transposed GEMM, which OpenBLAS
     runs on one thread at 96x96 (39-63 µs with two BLAS threads allowed),
     where the transposed GEMM of a C-ordered ``mat`` spreads over both
@@ -162,10 +164,11 @@ def mu_mode_product(u, mat, mu):
 
     if ax == u.ndim - 1 and not u.flags.f_contiguous:
         front = u.transpose((ax, *range(ax)))
-        if front.flags.f_contiguous:
+        if front.flags.f_contiguous or _unit_stride_unfolding(front):
             # Last axis fastest, the others F-ordered (the layout tucker
-            # passes): one multiplication against the F-ordered (n_mu, N/n_mu)
-            # unfolding, whose C-ordered product is the F-ordered result.
+            # passes) or merging into one stride (a block of its rows): one
+            # multiplication against the (n_mu, N/n_mu) unfolding, a view,
+            # whose C-ordered product is the F-ordered result.
             unfold = front.reshape((n_mu, -1), order="F").astype(out_dtype, copy=False)
             out = np.matmul(mat, unfold, out=_output(u, (m, unfold.shape[1]), out_dtype))
             return out.T.reshape(out_shape, order="F")
@@ -191,18 +194,33 @@ def mu_mode_product(u, mat, mu):
     return out.T.reshape(out_shape, order="F")
 
 
+def _unit_stride_unfolding(front):
+    """Whether ``front`` reshapes to its F-ordered ``(n, N/n)`` unfolding as a view.
+
+    It does, with unit stride down each column, when axis 0 has unit stride
+    and the other axes merge into one stride in Fortran order, as those of a
+    block of rows of a Fortran-ordered unfolding do.
+    """
+    tail = [(n, s) for n, s in zip(front.shape[1:], front.strides[1:]) if n != 1]
+    return front.strides[0] == front.itemsize and all(
+        s * n == s_next for (n, s), (_, s_next) in zip(tail, tail[1:]))
+
+
 def tucker(u, mats, buffers=()):
     """Apply one matrix per direction: ``u x_1 mats[0] x_2 ... x_d mats[d-1]``.
 
-    Each entry is an ``m x n_mu`` matrix or a 1-D vector of length ``n_mu``,
-    which stands for the diagonal matrix with that diagonal: the dense
-    entries go through :func:`mu_mode_product` first, in ascending direction
-    order, and the diagonal ones then scale the result in one multiply,
-    which writes the last product's output if it may (never ``u``).
-    :func:`count_flops` counts no ``macs`` for scalings, but the whole call
-    in ``mode_s``.  Distinct directions commute, so the fixed order is a
-    reproducibility choice, not a mathematical one.  The result is
-    Fortran-ordered and has dtype ``np.result_type`` of ``u`` and the entries.
+    Each entry is an ``m x n_mu`` matrix, a 1-D vector of length ``n_mu``,
+    which stands for the diagonal matrix with that diagonal, or a
+    ``(b, m, m)`` stack with ``b >= 1`` and ``b*m = n_mu``, which stands for
+    the block-diagonal matrix with those blocks; anything else raises
+    :class:`ShapeError`.  The dense and block entries go through
+    :func:`mu_mode_product` first, in ascending direction order, and the
+    diagonal ones then scale the result in one multiply, which writes the
+    last product's output if it may (never ``u``).  :func:`count_flops`
+    counts no ``macs`` for scalings, but the whole call in ``mode_s``.
+    Distinct directions commute, so the fixed order is a reproducibility
+    choice, not a mathematical one.  The result is Fortran-ordered and has
+    dtype ``np.result_type`` of ``u`` and the entries.
 
     While the dense entries are those of directions 1, 2, ..., each one is
     applied while its axis is the fastest in memory, as direction d of the
@@ -210,9 +228,14 @@ def tucker(u, mats, buffers=()):
     direction fastest, and after d products the layout is Fortran again.
     Dense entries after a diagonal one are applied in their own direction;
     the scaling writes a layout left cycled into a Fortran-ordered output.
+    A block entry is applied with its axis the fastest, as one product per
+    block on the view of the block's rows of the unfolding, each written
+    into its own chunk of one output; after a diagonal entry the tensor is
+    first copied into that layout.
 
     ``buffers`` is empty or two flat arrays that the caller owns: each
-    product, and a scaling not in place, of their size and dtype writes into
+    product (a block entry's products together), the copy before a block
+    entry, and a scaling not in place, of their size and dtype writes into
     the one that shares no memory with its input, so the result may be a
     view of one of them.  ``u`` may be such a view too; the writes after the
     first product may then overwrite it.  With no buffers the result is new.
@@ -224,7 +247,7 @@ def tucker(u, mats, buffers=()):
     mats = [np.asarray(mat) for mat in mats]
     for mu, mat in enumerate(mats, start=1):
         n_mu = u.shape[mu - 1]
-        if mat.shape != (n_mu,) and (mat.ndim != 2 or mat.shape[1] != n_mu):
+        if not _acts_on(mat, n_mu):
             raise ShapeError(
                 f"direction {mu}: matrix of shape {mat.shape} does not act on extent {n_mu}"
             )
@@ -236,15 +259,20 @@ def tucker(u, mats, buffers=()):
     token = _lent_pair.set(tuple(buffers))
     try:
         for mu, mat in enumerate(mats, start=1):
-            if mat.ndim != 2:
+            if mat.ndim == 1:
                 scale = np.multiply(1 if scale is None else scale, _along(mu - 1, mat, u.ndim),
                                     order="F")
-            elif cycled == mu - 1:
-                out = mu_mode_product(out.transpose(cycle), mat, u.ndim)
-                cycled += 1
-            else:
+            elif mat.ndim == 2 and cycled != mu - 1:
                 out = mu_mode_product(_uncycle(out, cycled), mat, mu)
                 cycled = 0
+            else:
+                if cycled != mu - 1:
+                    out = _cycled_copy(_uncycle(out, cycled), mu - 1, mat.dtype)
+                if mat.ndim == 2:
+                    out = mu_mode_product(out.transpose(cycle), mat, u.ndim)
+                else:
+                    out = _block_product(out.transpose(cycle), mat)
+                cycled = mu
         out = _uncycle(out, cycled)
         if scale is not None:
             dtype = np.result_type(out, scale)
@@ -256,6 +284,49 @@ def tucker(u, mats, buffers=()):
     for counter in _active_counters.get():
         counter.mode_s += seconds
     return out
+
+
+def _acts_on(mat, n):
+    """Whether ``mat`` is a :func:`tucker` entry for a direction of extent ``n``."""
+    if mat.ndim == 1:
+        return mat.shape == (n,)
+    if mat.ndim == 2:
+        return mat.shape[1] == n
+    return (mat.ndim == 3 and mat.shape[0] >= 1 and mat.shape[1] == mat.shape[2]
+            and mat.shape[0] * mat.shape[1] == n)
+
+
+def _cycled_copy(u, cycled, dtype):
+    """Copy ``u`` (in direction order) to Fortran order, its axes cycled left ``cycled`` times.
+
+    The copy has dtype ``np.result_type`` of ``u`` and ``dtype`` and goes
+    into a lent buffer that shares no memory with ``u`` if one fits.
+    """
+    front = u.transpose((*range(cycled, u.ndim), *range(cycled)))
+    out = _output(u, front.shape[::-1], np.result_type(u.dtype, dtype)).T
+    np.copyto(out, front)
+    return out
+
+
+def _block_product(u, blocks):
+    """``u`` times the block-diagonal matrix of ``blocks`` along its last axis, the fastest.
+
+    One :func:`mu_mode_product` per block, on the rows of the block in the
+    ``(n, N/n)`` unfolding (a view), each writing its chunk of rows of one
+    C-ordered ``(n, N/n)`` output: a lent buffer that shares no memory with
+    ``u``, or new.  Returns the output as the F-ordered tensor that one
+    product with the whole matrix returns.
+    """
+    b, m = blocks.shape[:2]
+    n = u.shape[-1]
+    full = _output(u, (n, prod(u.shape[:-1])), np.result_type(u.dtype, blocks.dtype))
+    for k in range(b):
+        token = _lent_pair.set((full[k * m : (k + 1) * m],))
+        try:
+            mu_mode_product(u[..., k * m : (k + 1) * m], blocks[k], u.ndim)
+        finally:
+            _lent_pair.reset(token)
+    return full.T.reshape(u.shape, order="F")
 
 
 def _uncycle(u, cycled):

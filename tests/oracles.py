@@ -45,6 +45,28 @@ def assemble_full(op, limit=4096):
     return full
 
 
+def dense_propagation(op, t, u):
+    """``exp(t M) vec(u)`` for the dense Kronecker sum ``M`` of ``op`` (see :func:`assemble_full`).
+
+    ``s`` steps of ``t/s``, with ``|t M / s|_1 <= 1/2``, each by 30 terms of
+    the Taylor series applied to the vector in extended precision.  Returned
+    as a Fortran-ordered double tensor of ``u``'s shape.
+    """
+    full = assemble_full(op)
+    cplx = np.iscomplexobj(full) or np.iscomplexobj(u)
+    work = np.clongdouble if cplx else np.longdouble
+    s = max(1, math.ceil(2 * abs(t) * np.abs(full).sum(axis=0).max()))
+    x = full.astype(work) * (np.longdouble(t) / s)
+    v = np.asarray(u).ravel(order="F").astype(work)
+    for _ in range(s):
+        term, acc = v, v.copy()
+        for k in range(1, 31):
+            term = x @ term / k
+            acc += term
+        v = acc
+    return v.astype(np.complex128 if cplx else np.float64).reshape(u.shape, order="F")
+
+
 def loop_mu_mode(u, mat, mu):
     """Triple-loop evaluation of the mode-product index formula."""
     ax = mu - 1
@@ -55,6 +77,15 @@ def loop_mu_mode(u, mat, mu):
         for j in range(u.shape[ax]):
             acc += mat[idx[ax], j] * u[idx[:ax] + (j,) + idx[ax + 1 :]]
         out[idx] = acc
+    return out
+
+
+def block_diagonal(blocks):
+    """The dense block-diagonal matrix of a ``(b, m, m)`` stack of blocks."""
+    b, m = blocks.shape[:2]
+    out = np.zeros((b * m, b * m), blocks.dtype)
+    for k in range(b):
+        out[k * m : (k + 1) * m, k * m : (k + 1) * m] = blocks[k]
     return out
 
 

@@ -55,7 +55,7 @@ TIMING_FIELDS = {"time_exp_s", "time_mumode_s", "time_other_s", "total_s"}
 GOLDEN_REPORTS = [
     (["heat", "--n", "16", "--p", "4", "--T", "0.5", "--steps", "3"],
      {"problem": "heat", "shape": [16, 16, 16], "steps": 3, "tau": 0.16666666666666666,
-      "error": 0.000130321905360941, "norm_kind": "max", "n": 16, "k": None, "p": 4.0,
+      "error": 0.00013032190535801228, "norm_kind": "max", "n": 16, "k": None, "p": 4.0,
       "precision": "double"}),
     (["pipeflow", "--n", "16", "--T", "1", "--steps", "2"],
      {"problem": "pipeflow", "shape": [16, 16], "steps": 2, "tau": 0.5,

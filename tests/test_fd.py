@@ -378,6 +378,24 @@ class TestHeatFactors:
         got = op.factors[0] @ np.cos(x)
         assert np.abs(got + np.cos(x)).max() <= 1e-12
 
+    # The spectral matrix needs an even n.
+    @pytest.mark.parametrize("p, n", [(p, n) for p in (2, 4, 6, 8, np.inf)
+                                      for n in (16, 17, 32, 33, 128) if p < np.inf or n % 2 == 0])
+    def test_the_factor_is_exactly_symmetric_and_centrosymmetric(self, p, n):
+        op = heat_factors(n, p)
+        a = op.factors[0]
+        assert op.factors[1] is a and op.factors[2] is a
+        assert np.array_equal(a, a.T)
+        assert np.array_equal(a, a[::-1, ::-1])
+
+    @pytest.mark.parametrize("p, n", [(2, 16), (2, 17), (2, 128), (np.inf, 16), (np.inf, 128)])
+    def test_orders_whose_matrix_is_symmetric_keep_its_bits(self, p, n):
+        if np.isinf(p):
+            want = fourier_second_derivative(n)
+        else:
+            want = diff_matrix(uniform_periodic_grid(0.0, 2 * np.pi, n), 2, p)
+        assert heat_factors(n, p).factors[0].tobytes() == want.tobytes()
+
     def test_odd_order_rejected(self):
         with pytest.raises(ConfigurationError):
             heat_factors(16, 3)

@@ -8,13 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kronmode import kron, tensor
+from kronmode import kron, problems, tensor
 from kronmode.errors import ConfigurationError, InvalidInputError, ShapeError
 from kronmode.fd import heat_factors
 from kronmode.kron import KroneckerOp, PropagatorCache, matvec, prepare, step
 from kronmode.linalg import matexp
 from kronmode.tensor import count_flops, mu_mode_product, norm, tucker
-from oracles import OracleSizeError, assemble_full, kron_vec_apply
+from oracles import OracleSizeError, assemble_full, dense_propagation, kron_vec_apply
 
 
 def random_op(rng, dims, complex_factors=False):
@@ -210,10 +210,24 @@ class TestPrepare:
         original = kron.matexp
         monkeypatch.setattr(kron, "matexp",
                             lambda a: calls.append([m.shape for m in a]) or original(a))
+        a = heat_factors(16, 2).factors[0]
+        a[0, 1] = np.nextafter(a[0, 1], 0)  # not centrosymmetric: no fold
+        cache = prepare(KroneckerOp((a, a, a)), 0.1)
+        assert calls == [[(16, 16)]]
+        assert np.array_equal(cache.exps[2], original(0.1 * a))
+
+    def test_a_shared_folded_factor_is_exponentiated_once_as_its_two_blocks(self, monkeypatch):
+        calls = []
+        original = kron.matexp
+        monkeypatch.setattr(kron, "matexp",
+                            lambda a: calls.append([m.shape for m in a]) or original(a))
         op = heat_factors(16, 2)
         cache = prepare(op, 0.1)
-        assert calls == [[(16, 16)]]
-        assert np.array_equal(cache.exps[2], original(0.1 * op.factors[2]))
+        assert calls == [[(8, 8), (8, 8)]]
+        want = original(0.1 * op.factors[0])
+        for e in cache.exps:
+            assert np.abs(e - want).max() <= 1e-15 * np.abs(want).max()
+            assert np.array_equal(e, e[::-1, ::-1])
 
     @pytest.mark.parametrize("tau", [np.inf, -np.inf, np.nan])
     def test_a_non_finite_increment_is_rejected_before_any_exponential(self, monkeypatch,
@@ -737,3 +751,115 @@ class TestMatvecProperties:
         dense = full @ u.ravel(order="F")
         scale = (np.abs(full) @ np.abs(u.ravel(order="F"))).max()
         assert np.abs(got.ravel(order="F") - dense).max() <= 1e-13 * scale
+
+
+# One (kind, extent index) per direction; see folded_op.
+_fold_directions = st.lists(
+    st.tuples(st.sampled_from(["centro_even", "centro_odd", "general", "diagonal"]),
+              st.integers(0, 2)), min_size=1, max_size=4)
+
+
+def folded_op(rng, directions, complex_factors):
+    """Factors of 1-norm about one: exactly centrosymmetric of even extent
+    (2, 4 or 6), of odd extent (1, 3 or 5), neither (2, 3 or 5), or diagonal."""
+    factors = []
+    for kind, i in directions:
+        n = {"centro_even": (2, 4, 6), "centro_odd": (1, 3, 5)}.get(kind, (2, 3, 5))[i]
+        a = rng.standard_normal((n, n))
+        if complex_factors:
+            a = a + 1j * rng.standard_normal((n, n))
+        a /= n
+        if kind.startswith("centro"):
+            a = a + a[::-1, ::-1]
+        elif kind == "diagonal":
+            a = np.diag(np.diagonal(a))
+        factors.append(a)
+    return KroneckerOp(tuple(factors))
+
+
+class TestFoldedSteps:
+    """A centrosymmetric factor of even extent is stepped as its two half-size blocks."""
+
+    # With four directions, small extents keep the dense Kronecker sum small.
+    @settings(max_examples=80, deadline=None)
+    @given(directions=_fold_directions.filter(lambda ds: len(ds) < 4 or
+                                              sum(i for _, i in ds) <= 3),
+           steps=st.integers(1, 6), seed=st.integers(0, 2**31),
+           complex_factors=st.booleans(), tau=st.floats(0.05, 0.5))
+    def test_steps_match_the_dense_propagator(self, directions, steps, seed, complex_factors,
+                                              tau):
+        rng = np.random.default_rng(seed)
+        op = folded_op(rng, directions, complex_factors)
+        u = random_state(rng, op.shape, np.float64)
+        run = problems._Run("double", steps * tau, steps)
+        cache = prepare(op, run.tau)
+        assert [f is not None for f in cache._folds] == [
+            kind == "centro_even" and np.count_nonzero(a - np.diag(np.diagonal(a))) > 0
+            for (kind, _), a in zip(directions, op.factors)]
+        want = dense_propagation(op, steps * run.tau, u)
+        tol = 1e-13 * np.abs(want).max()
+        assert np.abs(step(cache, u, steps=steps) - want).max() <= tol
+        assert np.abs(run.exact(op, u.copy(order="F")) - want).max() <= tol
+
+    @pytest.mark.parametrize("steps", [1, 2, 3, 6])
+    def test_steps_count_half_the_multiply_adds_of_a_folded_direction(self, steps):
+        rng = np.random.default_rng(40)
+        op = folded_op(rng, [("centro_even", 2), ("general", 1), ("centro_even", 1),
+                             ("diagonal", 2)], False)
+        u = random_state(rng, op.shape, np.float64)
+        cache = prepare(op, 0.1)
+        with count_flops() as fc:
+            step(cache, u, steps=steps)
+        # Per step, in units of the state's size: 6 + 3 + 4 dense, 3 + 3 + 2
+        # with directions 1 and 3 folded; the diagonal counts none.
+        dense, folded = 13 * u.size, 8 * u.size
+        assert fc.macs == dense * min(steps, 2) + folded * max(steps - 2, 0)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("steps", [1, 2, 5])
+    def test_a_factor_one_ulp_off_centrosymmetry_keeps_the_dense_bits(self, steps, dtype):
+        rng = np.random.default_rng(41)
+        centro, dense, diagonal = folded_op(
+            rng, [("centro_even", 2), ("general", 0), ("diagonal", 1)], False).factors
+        a = centro.copy()
+        a[1, 2] = np.nextafter(a[1, 2], np.inf)
+        cache = prepare(KroneckerOp((a, dense, diagonal)), 0.2, dtype)
+        assert cache._folds == (None, None, None)
+        assert np.array_equal(cache.exps[0], kron._cast(matexp(0.2 * a), dtype))
+        u = random_state(rng, cache.shape, dtype)
+        want = unbuffered_steps(cache, u, steps)
+        assert step(cache, u, steps=steps).tobytes(order="F") == want.tobytes(order="F")
+        # Beside a folded direction it keeps its dense exponential.
+        cache = prepare(KroneckerOp((a, dense, centro)), 0.2, dtype)
+        assert [f is None for f in cache._folds] == [True, True, False]
+        assert np.array_equal(cache.exps[0], kron._cast(matexp(0.2 * a), dtype))
+
+    @pytest.mark.parametrize("dtype", [bool, np.int64, np.float32, np.complex64])
+    def test_a_folded_factor_of_any_dtype_exponentiates_as_matexp_does(self, dtype):
+        b = np.array([[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 0], [1, 0, 0, 1]])
+        a = np.maximum(b, b[::-1, ::-1]).astype(dtype)
+        cache = prepare(KroneckerOp((a,)), 0.3)
+        want = matexp(0.3 * a.astype(np.result_type(a, np.float64)))
+        assert cache._folds[0] is not None
+        assert cache.exps[0].dtype == want.dtype
+        assert np.abs(cache.exps[0] - want).max() <= 1e-15 * np.abs(want).max()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.complex64])
+    def test_single_precision_fold_entries_hold_no_subnormals(self, dtype):
+        tiny = np.finfo(np.float32).tiny
+        # A tridiagonal factor: the far entries of its exponential fall
+        # below float32's tiny.
+        a = np.diag(np.full(64, -2.0)) + np.diag(np.ones(63), 1) + np.diag(np.ones(63), -1)
+        a = a * (1j if dtype == np.complex64 else 1)
+        e = prepare(KroneckerOp((a,)), 1.0).exps[0]
+        assert np.any((e != 0) & (np.abs(e) < tiny))
+        entries = [prepare(KroneckerOp((a,)), 1.0, dtype).exps[0]]
+        # Blocks whose halved sums and differences fall below it too.
+        rng = np.random.default_rng(42)
+        e_plus = np.full((4, 4), 1.5 * tiny) * (1j if dtype == np.complex64 else 1)
+        e_minus = e_plus * (1 + 1e-7 * rng.standard_normal((4, 4)))
+        full, folds = kron._from_blocks(e_plus, e_minus, dtype)
+        for e in [*entries, full, *folds]:
+            assert e.dtype == dtype
+            parts = e.view(np.float32)
+            assert not np.any((parts != 0) & (np.abs(parts) < tiny))

@@ -41,7 +41,7 @@ from kronmode.problems import (
     ti_factors,
     vortex_pair_state,
 )
-from kronmode.tensor import norm
+from kronmode.tensor import count_flops, norm
 from oracles import full_tensor_reference, harmonic_eigenvalues, harmonic_factors, rotate_full
 
 
@@ -223,13 +223,31 @@ class TestHeat:
             tracemalloc.stop()
         return peak / (64**3 * np.dtype(np.float64).itemsize)
 
+    @pytest.mark.parametrize("steps", [2, 3, 4])
     @pytest.mark.parametrize("norm_kind", ["max", "two"])
-    def test_the_run_sets_the_peak_memory(self, norm_kind):
+    def test_the_run_sets_the_peak_memory(self, norm_kind, steps):
         # The run holds 2 states (u0, lent as the first of the stepping's two
         # buffers, and the second one); the setup and the error check, which
-        # writes the difference over the reference, must hold no more.
-        # Measured: 2.08 (3.03 with a pair beside u0).
-        assert self.peak_states(steps=4, norm_kind=norm_kind) <= 2.25
+        # writes the difference over the reference, must hold no more.  The
+        # folded middle steps write each block into its chunk of the pair.
+        # Measured: 2.10 at 2, 3 and 4 steps, as before the fold (3.03 with a
+        # pair beside u0).
+        assert self.peak_states(steps=steps, norm_kind=norm_kind) <= 2.25
+
+    @pytest.mark.parametrize("steps", [1, 2, 3, 40])
+    def test_a_folded_run_does_half_the_multiply_adds_of_its_middle_steps(self, steps):
+        # n=16 folds: its first and last steps are dense, the others are
+        # two 8x8 blocks per direction.
+        with count_flops() as fc:
+            heat3d_run(16, steps=steps)
+        per_state = 16**3 * 16
+        assert fc.macs == (3 if steps == 1 else 6 + 1.5 * (steps - 2)) * per_state
+
+    @pytest.mark.parametrize("p", [2, 6])
+    def test_an_odd_extent_runs_dense(self, p):
+        with count_flops() as fc:
+            heat3d_run(17, p=p, steps=3)
+        assert fc.macs == 3 * 3 * 17**4
 
     def test_a_single_step_run_holds_two_states(self):
         # One step writes its three products into the same two buffers.
@@ -254,6 +272,20 @@ class TestHeat:
         report = heat3d_run(8)
         assert report.time_exp_s >= 0.02
         assert report.time_mumode_s < 0.02
+
+
+@pytest.mark.parametrize("run, macs", [
+    (lambda: gpe_run(16, T=0.3, tau=0.1), 589824),
+    (lambda: pipeflow_run(16, steps=3), 1368064),
+    (lambda: hkmp_run(8, steps=4, ref_steps=None), 40960),
+    (lambda: hkp_run(8, k_ref=None), 28672),
+], ids=["gpe", "pipeflow", "td", "ti"])
+def test_runs_that_fold_nothing_keep_their_multiply_adds(run, macs):
+    # No factor of these problems is exactly centrosymmetric (gpe's only to
+    # 8e-15), so none folds; the counts are those before the fold.
+    with count_flops() as fc:
+        run()
+    assert fc.macs == macs
 
 
 class TestPipeflow:

@@ -2,6 +2,7 @@ import inspect
 import math
 import struct
 import threading
+import tracemalloc
 from contextlib import nullcontext
 
 import numpy as np
@@ -10,10 +11,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from kronmode import tensor
 from kronmode.errors import ConfigurationError, InvalidDirectionError, ShapeError
 from kronmode.kron import _exponentials
 from kronmode.tensor import count_flops, mu_mode_product, norm, tucker
-from oracles import kron_vec_apply, loop_mu_mode
+from oracles import block_diagonal, kron_vec_apply, loop_mu_mode
 
 
 shapes = st.lists(st.integers(1, 4), min_size=1, max_size=4).map(tuple)
@@ -245,6 +247,131 @@ class TestTucker:
     def test_wrong_slot_count(self):
         with pytest.raises(ShapeError):
             tucker(np.zeros((2, 3)), [np.eye(2)])
+
+
+def _traced_macs(monkeypatch):
+    """The multiply-adds of every mode product, by perfbench's formula from ``(u, mat, mu)``."""
+    calls = []
+    product = tensor.mu_mode_product
+
+    def spy(u, mat, mu):
+        calls.append(mat.shape[0] * u.size)
+        return product(u, mat, mu)
+
+    monkeypatch.setattr(tensor, "mu_mode_product", spy)
+    return calls
+
+
+# One (kind, b, m) per direction: a direction of extent b*m gets a dense
+# matrix, a diagonal vector or a stack of b blocks of m x m.
+_directions = st.lists(
+    st.tuples(st.sampled_from(["dense", "diagonal", "blocks"]), st.integers(1, 4),
+              st.integers(1, 3)), min_size=1, max_size=4)
+
+
+class TestBlockEntries:
+    """A ``(b, m, m)`` stack stands for the block-diagonal matrix of its blocks."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(directions=_directions, seed=st.integers(0, 2**31), layout=st.sampled_from("FC"),
+           complex_u=st.booleans(), complex_mats=st.booleans(), single=st.booleans(),
+           buffered=st.booleans())
+    @example(directions=[("diagonal", 2, 2), ("blocks", 2, 3)], seed=1, layout="F",
+             complex_u=False, complex_mats=False, single=False, buffered=True)
+    @example(directions=[("dense", 1, 3), ("diagonal", 3, 1), ("blocks", 4, 2), ("dense", 2, 1)],
+             seed=2, layout="C", complex_u=True, complex_mats=False, single=False, buffered=True)
+    def test_matches_the_dense_block_diagonal_matrix(self, directions, seed, layout,
+                                                     complex_u, complex_mats, single, buffered):
+        rng = np.random.default_rng(seed)
+        real = np.float32 if single else np.float64
+        if all(kind != "blocks" for kind, _, _ in directions):
+            directions[rng.integers(len(directions))] = ("blocks",) + directions[0][1:]
+
+        def draw(*dims, cplx):
+            x = rng.standard_normal(dims)
+            return (x + 1j * rng.standard_normal(dims) if cplx else x).astype(
+                np.result_type(real, 1j) if cplx else real)
+
+        shape = tuple(b * m for _, b, m in directions)
+        mats = [{"dense": lambda: draw(b * m, b * m, cplx=complex_mats),
+                 "diagonal": lambda: draw(b * m, cplx=complex_mats),
+                 "blocks": lambda: draw(b, m, m, cplx=complex_mats)}[kind]()
+                for kind, b, m in directions]
+        u = draw(*shape, cplx=complex_u).copy(order=layout)
+        dtype = np.result_type(u, *mats)
+        pair = ()
+        if buffered:
+            pair = (np.empty(u.size, dtype), np.empty(u.size, dtype))
+            u = pair[0].reshape(shape, order="F")
+            u[...] = draw(*shape, cplx=complex_u)
+        before = u.copy()
+        dense = [block_diagonal(m) if m.ndim == 3 else m for m in mats]
+        want = tucker(u, dense)
+
+        with pytest.MonkeyPatch.context() as monkeypatch, count_flops() as fc:
+            traced = _traced_macs(monkeypatch)
+            got = tucker(u, mats, pair)
+
+        assert got.flags.f_contiguous and got.dtype == dtype and got.shape == shape
+        scale = tucker(np.abs(before), [np.abs(m) for m in dense]).max()
+        tol = 1e-5 if single else 1e-14
+        assert np.abs(got - want).max() <= tol * max(scale, np.finfo(real).tiny)
+        if buffered:
+            assert any(np.shares_memory(got, buf) for buf in pair)
+        else:
+            assert np.array_equal(u, before)
+        n_all = math.prod(shape)
+        rows = {"dense": lambda b, m: b * m, "diagonal": lambda b, m: 0,
+                "blocks": lambda b, m: m}
+        assert fc.macs == sum(rows[kind](b, m) * n_all for kind, b, m in directions)
+        assert sum(traced) == fc.macs
+        assert tensor._lent_pair.get() == ()
+
+    @pytest.mark.parametrize("b", [1, 2, 4])
+    def test_each_block_reads_a_view_and_writes_its_chunk_of_a_lent_buffer(self, b):
+        rng = np.random.default_rng(3)
+        shape = (48, 32, 40)
+        pair = (np.empty(math.prod(shape)), np.empty(math.prod(shape)))
+        u = pair[0].reshape(shape, order="F")
+        u[...] = rng.standard_normal(shape)
+        blocks = [rng.standard_normal((b, n // b, n // b)) for n in shape]
+        want = tucker(u.copy(order="F"), [block_diagonal(m) for m in blocks])
+        tracemalloc.start()
+        try:
+            got = tucker(u, blocks, pair)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.05 * u.nbytes
+        assert np.shares_memory(got, pair[1])
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_a_block_of_rows_of_the_unfolding_is_multiplied_without_a_copy(self):
+        rng = np.random.default_rng(4)
+        # The layout tucker passes: the last axis fastest, the others after it.
+        x = np.asfortranarray(rng.standard_normal((16, 12, 10))).transpose(1, 2, 0)
+        block, mat = x[..., 4:12], rng.standard_normal((8, 8))
+        want = mu_mode_product(np.asfortranarray(block), mat, 3)
+        tracemalloc.start()
+        try:
+            got = mu_mode_product(block, mat, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= got.nbytes + 4096
+        assert got.flags.f_contiguous
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+    @pytest.mark.parametrize("stack, n", [
+        ((2, 2, 3), 4),      # blocks not square
+        ((3, 2, 2), 4),      # b*m is not the extent
+        ((2, 2, 2), 5),
+        ((0, 4, 4), 4),      # no block
+        ((1, 2, 2, 2), 4),   # not a stack of matrices
+    ])
+    def test_a_malformed_stack_is_rejected(self, stack, n):
+        with pytest.raises(ShapeError, match="direction 2"):
+            tucker(np.zeros((3, n)), [np.eye(3), np.ones(stack)])
 
 
 class TestNorm:
